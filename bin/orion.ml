@@ -32,8 +32,10 @@ let wal_flag =
     & info [ "wal" ]
         ~doc:
           "Write-ahead-log the session to FILE.wal next to the $(b,--db) file: \
-           every checkpoint snapshots the database file and truncates the log, \
-           and a crashed session can be repaired with $(b,orion recover).")
+           every commit that writes costs one log append and one fsync \
+           (read-only commits touch no log), every checkpoint snapshots the \
+           database file and truncates the log, and a crashed session can be \
+           repaired with $(b,orion recover).")
 
 let wal_path_of db_path = db_path ^ ".wal"
 
@@ -785,10 +787,10 @@ let serve_cmd =
       value & opt int 0
       & info [ "group-commit-window" ] ~docv:"US"
           ~doc:
-            "Group-commit batching window in microseconds: commits arriving \
-             within the window coalesce into one log append and one fsync \
-             (0, the default, syncs every commit inline).  Requires \
-             $(b,--wal).")
+            "Group-commit batching window in microseconds: write commits \
+             arriving within the window coalesce into one log append and one \
+             fsync (0, the default, syncs every write commit inline; \
+             read-only commits never touch the log).  Requires $(b,--wal).")
   in
   let repl_flag =
     Arg.(
@@ -1334,7 +1336,7 @@ let () =
      not just serve's --lockdep flag. *)
   Orion_analysis.Lockdep.install_from_env ();
   let doc = "Composite objects a la ORION (Kim, Bertino & Garza, SIGMOD 1989)" in
-  let info = Cmd.info "orion" ~version:"1.9.0" ~doc in
+  let info = Cmd.info "orion" ~version:"1.10.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval

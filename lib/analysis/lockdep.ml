@@ -48,6 +48,8 @@ type engine = {
   dedup : (string, unit) Hashtbl.t;
   mutable findings_rev : SA.finding list;
   trace : out_channel option;
+  trace_buf : Buffer.t;
+      (* whole trace lines not yet written: see [drain_trace] *)
   traced_classes : (string, unit) Hashtbl.t;
   n_edges : int Atomic.t;
   n_violations : int Atomic.t;
@@ -65,15 +67,28 @@ let create_engine ?trace () =
       Option.map
         (fun f -> open_out_gen [ Open_append; Open_creat ] 0o644 f)
         trace;
+    trace_buf = Buffer.create 4096;
     traced_classes = Hashtbl.create 16;
     n_edges = Atomic.make 0;
     n_violations = Atomic.make 0;
     on_violation = (fun () -> ());
   }
 
+(* Several processes append to one trace file, so each write must carry
+   whole lines: a channel flushing its full buffer would cut a line in
+   two and let another process's write land in the middle.  Lines
+   collect in [trace_buf] and go out in one write of whole lines. *)
+let drain_trace eng =
+  match eng.trace with
+  | Some oc ->
+      Buffer.output_buffer oc eng.trace_buf;
+      Buffer.clear eng.trace_buf;
+      flush oc
+  | None -> ()
+
 let flush_trace eng =
   Mutex.lock eng.emu;
-  (match eng.trace with Some oc -> flush oc | None -> ());
+  drain_trace eng;
   Mutex.unlock eng.emu
 
 let edge_count eng = Atomic.get eng.n_edges
@@ -305,11 +320,12 @@ let levent_of = function
    the same reason.  No token ever contains a space: class names, ops
    and regions are dotted/dashed identifiers, sites are "file.ml:N". *)
 
-let write_trace eng oc key ev =
+let write_trace eng key ev =
+  let buf = eng.trace_buf in
   let ensure_class (c : lclass) =
     if not (Hashtbl.mem eng.traced_classes c.name) then begin
       Hashtbl.replace eng.traced_classes c.name ();
-      Printf.fprintf oc "C %s %d %d %s\n" c.name c.rank
+      Printf.bprintf buf "C %s %d %d %s\n" c.name c.rank
         (if c.no_block then 1 else 0)
         (match c.asc_region with Some r -> r | None -> "-")
     end
@@ -317,24 +333,25 @@ let write_trace eng oc key ev =
   match ev with
   | L_acquire (c, inst, site) ->
       ensure_class c;
-      Printf.fprintf oc "A %s %s %d %s\n" key c.name inst site
+      Printf.bprintf buf "A %s %s %d %s\n" key c.name inst site
   | L_release (c, inst) ->
       ensure_class c;
-      Printf.fprintf oc "R %s %s %d\n" key c.name inst
-  | L_blocking (op, site) -> Printf.fprintf oc "B %s %s %s\n" key op site
+      Printf.bprintf buf "R %s %s %d\n" key c.name inst
+  | L_blocking (op, site) -> Printf.bprintf buf "B %s %s %s\n" key op site
   | L_region (enter, r) ->
-      Printf.fprintf oc "G %s %s %s\n" key (if enter then "+" else "-") r
+      Printf.bprintf buf "G %s %s %s\n" key (if enter then "+" else "-") r
   | L_allow enter ->
-      Printf.fprintf oc "X %s %s\n" key (if enter then "+" else "-")
+      Printf.bprintf buf "X %s %s\n" key (if enter then "+" else "-")
 
 let feed eng ~key lev =
   Mutex.lock eng.emu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock eng.emu)
     (fun () ->
-      (match eng.trace with
-      | Some oc -> write_trace eng oc key lev
-      | None -> ());
+      if Option.is_some eng.trace then begin
+        write_trace eng key lev;
+        if Buffer.length eng.trace_buf >= 16384 then drain_trace eng
+      end;
       process eng (state_of eng key) lev)
 
 let handle eng ~key ev = feed eng ~key (levent_of ev)
@@ -389,7 +406,7 @@ let install ?trace () =
          findings' — how CI fails a lockdep-enabled suite.  Guarded by
          the idempotence check above, so the hook registers once. *)
       at_exit (fun () ->
-          (match eng.trace with Some oc -> flush oc | None -> ());
+          drain_trace eng;
           let fs = engine_findings eng in
           match exit_code fs with
           | 0 -> ()

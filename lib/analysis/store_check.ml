@@ -423,14 +423,15 @@ let repair_wal_tail path =
       else
         let backup = path ^ ".bak" in
         let write_file p s =
-          let oc = open_out_bin p in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc s)
+          try
+            Orion_storage.Durable_file.replace ~op:"wal.fsync" p (fun oc ->
+                output_string oc s)
+          with Unix.Unix_error (e, _, _) ->
+            raise (Sys_error (p ^ ": " ^ Unix.error_message e))
         in
         match
-          (* Backup first: only once the damaged original is safe do we
-             truncate it down to the longest intact frame prefix. *)
+          (* Backup first: only once the damaged original is durably
+             safe do we cut it down to the longest intact frame prefix. *)
           write_file backup raw;
           write_file path (String.sub raw 0 scan.Wal.valid_bytes)
         with

@@ -218,8 +218,12 @@ let on_checkpoint t =
   | Some db -> resync db mirror);
   t.checkpoints <- t.checkpoints + 1;
   (* The replica's own durable snapshot, byte-identical to the
-     primary's: a promoted replica restarts from it like any primary. *)
-  Store.save_file mirror t.db_path
+     primary's: a promoted replica restarts from it like any primary.
+     The applier holds the service lock here (records apply under it),
+     so the snapshot's fsync is the replica's side of the primary's
+     checkpoint-durability exemption. *)
+  Orion_util.Omutex.allow_blocking "checkpoint-durability" (fun () ->
+      Store.save_file mirror t.db_path)
 
 let apply_record t r =
   (match r with

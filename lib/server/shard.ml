@@ -552,7 +552,7 @@ and handle t session req =
       | None -> conflict_or Message.Bad_request "no open transaction"
       | Some tx -> (
           match svc.Tx_service.gc with
-          | Some gc when Tx.state tx = Tx.Active ->
+          | Some gc when Tx.state tx = Tx.Active && not (Tx.read_only tx) ->
               (* Group commit: capture the after-images, park the
                  transaction in [Committing] (locks stay held across
                  the batch sync — strict 2PL), and gate the session.
@@ -569,12 +569,21 @@ and handle t session req =
                 ~notify:(fun ~ok ~err ->
                   Tx_service.post svc ~shard
                     (Tx_service.Commit_done { sid; tx; ok; err }))
-          | _ ->
+          | _ -> (
+              (* Direct commit; a read-only transaction always lands
+                 here — its commit is lock release, nothing to batch. *)
               session.tx <- None;
               Tx_service.disown svc ~tx_id:(Tx.tx_id tx);
-              let unblocked = Tx.commit manager tx in
-              reply session (Message.Result Message.Unit);
-              resume t unblocked))
+              match Tx.commit manager tx with
+              | unblocked ->
+                  reply session (Message.Result Message.Unit);
+                  resume t unblocked
+              | exception e ->
+                  let unblocked = Tx.abort manager tx in
+                  error session Message.Conflict
+                    ("commit failed: " ^ Printexc.to_string e
+                   ^ "; transaction aborted");
+                  resume t unblocked)))
   | Message.Abort -> (
       match session.tx with
       | None -> (

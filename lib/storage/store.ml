@@ -369,14 +369,11 @@ let write_file_image fi path =
   | Some page ->
       W.bool w true;
       W.int w page);
-  (* Write-then-rename so a crash mid-save leaves the previous snapshot
-     intact (the checkpoint/truncate protocol depends on it). *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_bytes oc (W.contents w));
-  Sys.rename tmp path
+  (* Write, fsync, rename, fsync the directory: a crash mid-save leaves
+     the previous snapshot intact, and a finished save survives power
+     loss (the checkpoint/truncate protocol depends on both). *)
+  Durable_file.replace ~op:"store.fsync" path (fun oc ->
+      output_bytes oc (W.contents w))
 
 let save_file t path = write_file_image (file_image_of_store t) path
 

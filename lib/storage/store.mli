@@ -115,8 +115,10 @@ val compact_segment : t -> segment_id -> (rid * rid) list
     ([orion repl --db file]). *)
 
 val save_file : t -> string -> unit
-(** Atomic: the image is written to a temporary sibling and renamed
-    over [path], so a crash mid-save leaves the previous snapshot.
+(** Atomic and durable ({!Durable_file.replace}): the image is written
+    to a temporary sibling, fsynced and renamed over [path], then the
+    directory is fsynced, so a crash mid-save leaves the previous
+    snapshot and a finished save survives power loss.
     Format version 2: every page image is followed by its adler32
     checksum, verified by the offline checker. *)
 

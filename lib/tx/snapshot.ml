@@ -73,3 +73,4 @@ let restore t db =
   Database.emit db Database.Invalidated
 
 let captured t = List.map fst (Oid.Map.bindings t.captures)
+let is_empty t = Oid.Map.is_empty t.captures

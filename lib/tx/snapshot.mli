@@ -31,3 +31,6 @@ val extend : t -> Database.t -> Oid.t list -> (Oid.t * capture) list
 val restore : t -> Database.t -> unit
 
 val captured : t -> Oid.t list
+
+val is_empty : t -> bool
+(** Nothing captured yet. *)

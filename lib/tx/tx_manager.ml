@@ -296,15 +296,14 @@ let validate_commitable tx =
   | Committed | Aborted ->
       invalid_arg "Tx_manager.commit: transaction already finished"
 
-let commit t tx =
-  validate_commitable tx;
-  (* Durability point: after-images of everything this transaction may
-     have touched (its undo-snapshot coverage plus its creations) reach
-     the log, sealed by a commit record, before any lock is released.
-     No log attached — in-memory semantics, commit is lock release.
-     Either way the commit claims a fresh clock (visibility point for
-     snapshot reads) and publishes its after-images to the version
-     store before locks drop. *)
+(* Durability point: after-images of everything this transaction may
+   have touched (its undo-snapshot coverage plus its creations) reach
+   the log, sealed by a commit record, before any lock is released.  No
+   log attached — in-memory semantics, commit is lock release.  Either
+   way the commit claims a fresh clock (visibility point for snapshot
+   reads) and publishes its after-images to the version store before
+   locks drop. *)
+let commit_writes t tx =
   let touched =
     List.sort_uniq Oid.compare (Snapshot.captured tx.snapshot @ tx.created)
   in
@@ -339,6 +338,19 @@ let commit t tx =
              | None -> (oid, None))
            touched));
   finish t tx Committed
+
+(* Nothing captured, nothing created: the transaction changed no
+   object, so its commit has nothing to log, seal or publish. *)
+let read_only tx = tx.created = [] && Snapshot.is_empty tx.snapshot
+
+let commit t tx =
+  validate_commitable tx;
+  if read_only tx then
+    (* Commit is lock release: no record, no sync, no clock tick.
+       Strict 2PL makes that safe — every writer holds its locks across
+       its own sync, so whatever this transaction read was durable. *)
+    finish t tx Committed
+  else commit_writes t tx
 
 (* Group-commit split of [commit]: capture the after-image records now
    (while the workspace still holds this transaction's writes) and park

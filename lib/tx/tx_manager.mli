@@ -110,11 +110,19 @@ val delete_object : t -> tx -> Oid.t -> unit
 
 (** {1 Completion} *)
 
+val read_only : tx -> bool
+(** The transaction has changed no object so far: nothing captured for
+    undo, nothing created.  Its commit writes no log record. *)
+
 val commit : t -> tx -> int list
-(** Release locks; returns transactions unblocked by the release.
+(** Log the after-images and a [Commit] seal, sync, publish, then
+    release locks; returns transactions unblocked by the release.  A
+    {!read_only} transaction only releases its locks: no record, no
+    sync, no clock tick.
     @raise Invalid_argument on a [Blocked] transaction (its lock
     request is still queued — commit would break two-phase locking) or
-    an already-finished one. *)
+    an already-finished one.  A log failure propagates with the
+    transaction still [Active]: the caller aborts it. *)
 
 val submit_commit : t -> tx -> Orion_wal.Wal_record.t list * (int * int * int)
 (** Group-commit first half: capture the transaction's after-image

@@ -15,7 +15,7 @@
     replays as {e zero} commits — the PR2 redo-only invariant, never a
     partial batch.  A batch of one seals with a plain
     {!Wal_record.Commit}, byte-identical to the direct
-    {!Wal.log_commit} path.
+    commit path.
 
     {2 Protocol}
 

@@ -5,10 +5,11 @@ module R = Orion_storage.Bytes_rw.Reader
 module Obs = Orion_obs.Metrics
 module Omutex = Orion_util.Omutex
 module Checksum = Orion_storage.Checksum
+module Durable_file = Orion_storage.Durable_file
 
 exception Crashed
 
-type fault_kind = Fail | Torn
+type fault_kind = Fail | Torn | Io
 
 type fault = { kind : fault_kind; mutable remaining : int }
 
@@ -31,6 +32,11 @@ type t = {
   mutable is_crashed : bool;
   mutable page_size : int option;
   mutable backing : string option;
+  mutable file : Unix.file_descr option;
+      (* append descriptor on [backing], open only while the file holds
+         exactly [buf[0..written)]; [None] makes the next sync replace
+         the whole file *)
+  mutable written : int;
   mutable durable : int;
       (* buffer length at the last sync: the durable LSN replication
          ships up to (bytes past it may still be torn by a crash) *)
@@ -50,6 +56,8 @@ let create () =
     is_crashed = false;
     page_size = None;
     backing = None;
+    file = None;
+    written = 0;
     durable = 0;
   }
 
@@ -70,7 +78,8 @@ let inject_fault t spec =
     (match spec with
     | None -> None
     | Some (`Fail_after n) -> Some { kind = Fail; remaining = n }
-    | Some (`Torn_after n) -> Some { kind = Torn; remaining = n })
+    | Some (`Torn_after n) -> Some { kind = Torn; remaining = n }
+    | Some (`Io_error_after n) -> Some { kind = Io; remaining = n })
 
 let crashed t = t.is_crashed
 
@@ -96,16 +105,14 @@ let append_unlocked t record =
   | _ -> ());
   let framed = frame record in
   (match t.fault with
-  | Some f when f.remaining <= 0 ->
+  | Some ({ kind = Fail | Torn; _ } as f) when f.remaining <= 0 ->
       t.is_crashed <- true;
-      (match f.kind with
-      | Fail -> ()
-      | Torn ->
-          (* Half the frame reaches the log device: a torn tail. *)
-          Buffer.add_subbytes t.buf framed 0 (Bytes.length framed / 2));
+      if f.kind = Torn then
+        (* Half the frame reaches the log device: a torn tail. *)
+        Buffer.add_subbytes t.buf framed 0 (Bytes.length framed / 2);
       raise Crashed
-  | Some f -> f.remaining <- f.remaining - 1
-  | None -> ());
+  | Some ({ kind = Fail | Torn; _ } as f) -> f.remaining <- f.remaining - 1
+  | Some { kind = Io; _ } | None -> ());
   Buffer.add_bytes t.buf framed;
   Obs.incr t.appends;
   Obs.incr t.bytes_logged ~by:(Bytes.length framed);
@@ -113,30 +120,80 @@ let append_unlocked t record =
 
 let append t record = with_mu t (fun () -> append_unlocked t record)
 
-let save_file_unlocked t path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc t.buf);
-  Sys.rename tmp path
+(* File I/O ----------------------------------------------------------------- *)
 
-let save_file t path = with_mu t (fun () -> save_file_unlocked t path)
+(* Whether this file write is the one an [`Io_error_after] fault fails. *)
+let disk_full t =
+  match t.fault with
+  | Some ({ kind = Io; _ } as f) ->
+      if f.remaining <= 0 then true
+      else begin
+        f.remaining <- f.remaining - 1;
+        false
+      end
+  | Some { kind = Fail | Torn; _ } | None -> false
 
-let set_backing t path = t.backing <- path
+let close_file t =
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.file;
+  t.file <- None
+
+(* A failed write or fsync of the backing file is fail-stop: the file
+   may end in a partial frame, so nothing may be appended or
+   acknowledged over it.  The buffer drops back to the durable point,
+   so the failed bytes cannot reach the file by any later path either
+   ([revive] then rewrites the file from the buffer). *)
+let backing_io t f =
+  try f ()
+  with e ->
+    t.is_crashed <- true;
+    close_file t;
+    Buffer.truncate t.buf (min t.durable (Buffer.length t.buf));
+    raise e
+
+(* Write the whole buffer to [path] by replace; on the backing file
+   this also (re)opens the append descriptor. *)
+let replace_unlocked t path =
+  let replace () =
+    Durable_file.replace ~disk_full:(disk_full t) ~op:"wal.fsync" path
+      (fun oc -> Buffer.output_buffer oc t.buf)
+  in
+  if t.backing <> Some path then replace ()
+  else begin
+    if t.is_crashed then raise Crashed;
+    backing_io t (fun () ->
+        close_file t;
+        replace ();
+        t.file <- Some (Durable_file.open_append path);
+        t.written <- Buffer.length t.buf)
+  end
+
+let save_file t path = with_mu t (fun () -> replace_unlocked t path)
+
+let set_backing t path =
+  with_mu t (fun () ->
+      close_file t;
+      t.backing <- path;
+      t.written <- 0)
 
 let sync_unlocked t =
   if t.is_crashed then raise Crashed;
   Obs.incr t.syncs;
-  (* With a backing file, a sync is a real fsync-point: the log bytes
-     reach the filesystem, so a process crash loses at most the appends
-     since the last commit/checkpoint. *)
+  (* With a backing file, a sync is a real persistence point: the bytes
+     appended since the last one are written and fsynced (the first
+     sync after [set_backing] writes the whole file by replace). *)
   let started = Unix.gettimeofday () in
-  (match t.backing with
-  | Some path ->
-      Omutex.blocking ~op:"wal.fsync" (fun () -> save_file_unlocked t path)
-  | None -> ());
-  t.durable <- Buffer.length t.buf;
+  let len = Buffer.length t.buf in
+  (match (t.backing, t.file) with
+  | None, _ -> ()
+  | Some path, None -> replace_unlocked t path
+  | Some _, Some fd ->
+      if t.written < len then
+        backing_io t (fun () ->
+            let fresh = Buffer.sub t.buf t.written (len - t.written) in
+            Durable_file.append ~disk_full:(disk_full t) ~op:"wal.fsync" fd
+              fresh ~pos:0 ~len:(String.length fresh);
+            t.written <- len));
+  t.durable <- len;
   Obs.observe t.sync_hist (Unix.gettimeofday () -. started)
 
 let sync t = with_mu t (fun () -> sync_unlocked t)
@@ -144,20 +201,28 @@ let sync t = with_mu t (fun () -> sync_unlocked t)
 let tear t ~bytes =
   with_mu t (fun () ->
       let keep = max 0 (Buffer.length t.buf - bytes) in
-      let surviving = Buffer.sub t.buf 0 keep in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf surviving;
-      t.durable <- min t.durable keep)
+      Buffer.truncate t.buf keep;
+      t.durable <- min t.durable keep;
+      (* The device loses the same tail: disk and buffer stay equal. *)
+      match (t.backing, t.file) with
+      | None, _ -> ()
+      | Some path, None -> replace_unlocked t path
+      | Some _, Some fd ->
+          if t.written > keep then
+            backing_io t (fun () ->
+                Durable_file.truncate ~op:"wal.fsync" fd keep;
+                t.written <- keep))
 
 let truncate t =
   with_mu t (fun () ->
       if t.is_crashed then raise Crashed;
       Buffer.clear t.buf;
+      t.durable <- 0;
       Obs.incr t.truncations;
       (match t.page_size with
       | Some page_size -> append_unlocked t (Wal_record.Genesis { page_size })
       | None -> ());
-      (match t.backing with Some path -> save_file_unlocked t path | None -> ());
+      (match t.backing with Some path -> replace_unlocked t path | None -> ());
       t.durable <- Buffer.length t.buf)
 
 let durable_lsn t = with_mu t (fun () -> t.durable)
@@ -393,13 +458,4 @@ let log_batch t ~records ~seal =
   with_mu t (fun () ->
       List.iter (append_unlocked t) records;
       append_unlocked t seal;
-      sync_unlocked t)
-
-let log_commit t db ~tx ~touched =
-  let records = commit_records db ~tx ~touched in
-  let next_oid, clock = Database.counters db in
-  let cc = Database.current_cc db in
-  with_mu t (fun () ->
-      List.iter (append_unlocked t) records;
-      append_unlocked t (Wal_record.Commit { tx; next_oid; clock; cc });
       sync_unlocked t)

@@ -2,11 +2,11 @@
 
     An append-only stream of length-prefixed, checksummed
     {!Wal_record.t} frames ([len:u32le][adler32:u32le][payload]),
-    buffered in memory with explicit file save/load — the same
-    laptop-scale simulation stance as {!Orion_storage.Disk}, with the
-    same instrumentation philosophy: [syncs] counts the
-    fsync-equivalents a real log would pay (one per commit, one per
-    checkpoint).
+    kept in a memory buffer (replication and {!scan} read from it) and,
+    with a backing file ({!set_backing}), made durable there: each
+    {!sync} appends the bytes written since the previous one and
+    fsyncs them ({!Orion_storage.Durable_file}).  [syncs] counts the
+    persistence points (one per write commit, one per checkpoint).
 
     {2 Protocol}
 
@@ -16,7 +16,7 @@
     [Checkpoint_begin]/[Checkpoint] records, snapshotted to
     [?snapshot_path] (atomically, write-then-rename), and followed by a
     log truncation.  Transaction commits append their after-images
-    through {!log_commit} (wired in {!Orion_tx.Tx_manager}).  Crash
+    through {!log_batch} (wired in {!Orion_tx.Tx_manager}).  Crash
     semantics assume checkpoints run at transaction-quiescent points;
     commit durability between checkpoints is entirely the log's.
 
@@ -24,8 +24,9 @@
 
     {!inject_fault} arms the same fail-after-N / torn-write faults as
     {!Orion_storage.Disk.inject_fault}, so a scripted crash can land
-    between any two appends or mid-frame; {!tear} chops bytes off the
-    tail after the fact.  {!scan} never raises on damage: it decodes
+    between any two appends or mid-frame, plus a disk-full fault on the
+    backing file's writes; {!tear} chops bytes off the tail after the
+    fact.  {!scan} never raises on damage: it decodes
     the longest intact prefix and reports [torn_tail]. *)
 
 open Orion_core
@@ -42,14 +43,20 @@ val append : t -> Wal_record.t -> unit
     partial frame on the log) or the log is already crashed. *)
 
 val sync : t -> unit
-(** Count one fsync-equivalent.  Without a backing file the in-memory
-    buffer is always "durable" and the counter is the cost model; with
-    one ({!set_backing}) the log is also written out, making the sync a
-    real persistence point. *)
+(** One persistence point.  Without a backing file the in-memory
+    buffer is always "durable" and the counter is the cost model.  With
+    one ({!set_backing}) the bytes appended since the last sync are
+    written at the end of the file and fsynced; the first sync after
+    {!set_backing} writes the whole buffer by replace (temporary file,
+    fsync, rename, directory fsync).
+    @raise Crashed when the log is crashed.  A failed write or fsync
+    re-raises its [Unix.Unix_error] and crashes the log (fail-stop):
+    the buffer drops back to the last durable point, and every later
+    append, sync or truncate raises {!Crashed}. *)
 
 val set_backing : t -> string option -> unit
-(** File the log is saved to on every {!sync} and {!truncate} (the CLI's
-    [--wal] mode); [None] reverts to in-memory only. *)
+(** File the log is made durable in (the CLI's [--wal] mode); [None]
+    reverts to in-memory only. *)
 
 val size : t -> int
 (** Bytes currently in the log. *)
@@ -63,21 +70,28 @@ val stats : t -> Database.wal_stats
 
 val truncate : t -> unit
 (** Drop every record and restart the log with a fresh [Genesis]
-    (called after a checkpoint's snapshot is durable). *)
+    (called after a checkpoint's snapshot is durable).  A backing file
+    is replaced by the [Genesis]-only log. *)
 
 (** {1 Crash injection} *)
 
-val inject_fault : t -> [ `Fail_after of int | `Torn_after of int ] option -> unit
+val inject_fault :
+  t ->
+  [ `Fail_after of int | `Torn_after of int | `Io_error_after of int ] option ->
+  unit
 (** [`Fail_after n]: the next [n] appends succeed, the one after raises
     {!Crashed} leaving the log unchanged.  [`Torn_after n]: same, but
-    half of the failing frame reaches the log (a torn tail). *)
+    half of the failing frame reaches the log (a torn tail).
+    [`Io_error_after n]: the next [n] file writes (appends and replaces
+    by {!sync}, {!truncate}, {!tear} and {!save_file}) succeed; the one
+    after writes half its bytes, then raises [Unix.Unix_error ENOSPC]. *)
 
 val crashed : t -> bool
 val revive : t -> unit
 
 val tear : t -> bytes:int -> unit
 (** Chop the last [bytes] bytes off the log (simulates losing the tail
-    of the log device). *)
+    of the log device).  A backing file is cut to match. *)
 
 (** {1 Reading} *)
 
@@ -114,7 +128,10 @@ val decode_frames : bytes -> Wal_record.t list
     transport bug, never legal crash residue. *)
 
 val save_file : t -> string -> unit
-(** Atomic (write-then-rename), like {!Orion_storage.Store.save_file}. *)
+(** Write the whole log to a file by replace, like
+    {!Orion_storage.Store.save_file}.  Saving over the backing file
+    re-bases later syncs on it.
+    @raise Crashed when saving over the backing file of a crashed log. *)
 
 val load_file : string -> t
 (** Never raises on a damaged tail — damage surfaces in {!scan}. *)
@@ -144,22 +161,16 @@ val attach_store : t -> Store.t -> unit
 (** The storage-level half of {!attach} (no checkpoint hook, no stats
     publication) — enough to journal a bare store. *)
 
-val log_commit : t -> Database.t -> tx:int -> touched:Oid.t list -> unit
-(** Append the after-image ([Obj_put]) or tombstone ([Obj_delete]) of
-    every touched object, seal them with a [Commit] carrying the
-    database counters, and {!sync} — all under the log mutex, so the
-    sequence is atomic against concurrent appenders.  Called by
-    {!Orion_tx.Tx_manager.commit}. *)
-
 val commit_records : Database.t -> tx:int -> touched:Oid.t list -> Wal_record.t list
-(** The unsealed after-image/tombstone records {!log_commit} would
-    append for [tx] — captured at commit-submission time so the
+(** The unsealed after-image/tombstone records of [tx] — captured at commit-submission time so the
     group-commit committer can batch several transactions' records
     under one {!Wal_record.Commit_group} seal. *)
 
 val log_batch : t -> records:Wal_record.t list -> seal:Wal_record.t -> unit
 (** Append [records], then [seal], then {!sync} — one durability point
-    for a whole batch, atomic under the log mutex.
+    for a whole batch, atomic under the log mutex.  The direct commit
+    path seals with a [Commit]; the group committer with a [Commit] or
+    [Commit_group].
     @raise Crashed as {!append}/{!sync} (an injected fault can land on
     any append inside the batch, leaving an unsealed — hence
     replayed-as-nothing — prefix). *)

@@ -238,14 +238,16 @@ let test_torn_seal_replays_nothing () =
         (Format.pp_print_list Integrity.pp_violation)
         violations)
 
-(* The offline checker on a group-committed store: [Commit_group] is
-   just another sealed frame to fsck — clean store, clean log. *)
-let test_fsck_clean_on_group_committed_store () =
-  let temp name =
-    let path = Filename.temp_file "orion_gc_fsck" name in
-    at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-    path
-  in
+let temp name =
+  let path = Filename.temp_file "orion_gc" name in
+  at_exit (fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".tmp"; path ^ ".bak" ]);
+  path
+
+(* [boot] with the log made durable in a file. *)
+let boot_backed () =
   let wal_path = temp ".wal" in
   let db = Database.create () in
   define_schema db;
@@ -253,7 +255,26 @@ let test_fsck_clean_on_group_committed_store () =
   Wal.attach wal db;
   Wal.set_backing wal (Some wal_path);
   Persist.save db;
-  let manager = Tx.create ~wal db in
+  (db, wal, Tx.create ~wal db, wal_path)
+
+let solo gc manager tx =
+  match submit_all gc manager [ tx ] ~eager:true with
+  | [ (_, ok, err) ] -> (ok, err)
+  | _ -> Alcotest.fail "expected one verdict"
+
+let check_fsck_clean db wal_path =
+  let store_path = temp ".odb" in
+  Store.save_file (Database.store db) store_path;
+  let report = SC.check_file ~wal:wal_path store_path in
+  if report.SC.issues <> [] then
+    Alcotest.failf "fsck issues:\n%s"
+      (String.concat "\n"
+         (List.map (Format.asprintf "%a" SC.pp_issue) report.SC.issues))
+
+(* The offline checker on a group-committed store: [Commit_group] is
+   just another sealed frame to fsck — clean store, clean log. *)
+let test_fsck_clean_on_group_committed_store () =
+  let db, wal, manager, wal_path = boot_backed () in
   let tx1, _ = open_tx manager 1 in
   let tx2, _ = open_tx manager 2 in
   let gc = Group_commit.create ~window:0.2 wal in
@@ -266,13 +287,131 @@ let test_fsck_clean_on_group_committed_store () =
   ignore (Tx.complete_commit manager tx2 : int list);
   Group_commit.shutdown gc;
   Persist.save db;
-  let store_path = temp ".odb" in
-  Store.save_file (Database.store db) store_path;
-  let report = SC.check_file ~wal:wal_path store_path in
-  if report.SC.issues <> [] then
-    Alcotest.failf "fsck issues on group-committed store:\n%s"
-      (String.concat "\n"
-         (List.map (Format.asprintf "%a" SC.pp_issue) report.SC.issues))
+  check_fsck_clean db wal_path
+
+(* A batch whose write hits a full disk is reported failed and never
+   becomes durable later: the log is fail-stop, so the next commit is
+   refused too, on either path. *)
+let test_io_error_fails_batch_durably () =
+  let _db, wal, manager, wal_path = boot_backed () in
+  let gc = Group_commit.create ~window:0.05 wal in
+  let tx1, node1 = open_tx manager 1 in
+  (match solo gc manager tx1 with
+  | true, _ -> ignore (Tx.complete_commit manager tx1 : int list)
+  | false, err -> Alcotest.failf "first commit failed: %s" err);
+  let acked = Wal.durable_lsn wal in
+  Wal.inject_fault wal (Some (`Io_error_after 0));
+  let tx2, node2 = open_tx manager 2 in
+  (match solo gc manager tx2 with
+  | true, _ -> Alcotest.fail "a batch that hit ENOSPC was acknowledged"
+  | false, _ -> ignore (Tx.commit_failed manager tx2 : int list));
+  (* The disk has room again; the log must stay down regardless. *)
+  Wal.inject_fault wal None;
+  let tx3, _ = open_tx manager 3 in
+  (match solo gc manager tx3 with
+  | true, _ -> Alcotest.fail "a commit over the failed batch was acknowledged"
+  | false, _ -> ignore (Tx.commit_failed manager tx3 : int list));
+  let tx4, _ = open_tx manager 4 in
+  (match Tx.commit manager tx4 with
+  | _ -> Alcotest.fail "direct commit on a crashed log succeeded"
+  | exception Wal.Crashed -> ignore (Tx.abort manager tx4 : int list));
+  Group_commit.kill gc;
+  let recovered, rstats = Recovery.replay (Wal.load_file wal_path) in
+  Alcotest.(check bool) "torn tail on file" true rstats.Recovery.torn_tail;
+  Alcotest.(check int) "only the acknowledged commit replays" 1
+    rstats.Recovery.committed_txs;
+  Alcotest.(check bool) "acknowledged family recovered" true
+    (Database.exists recovered node1);
+  Alcotest.(check bool) "failed family absent" false
+    (Database.exists recovered node2);
+  (match SC.repair_wal_tail wal_path with
+  | Ok (SC.Wal_repaired { valid_bytes; _ }) ->
+      (* Whole frames of the failed batch may survive the cut, but its
+         seal cannot: they replay as nothing. *)
+      Alcotest.(check bool) "repair keeps the acknowledged prefix" true
+        (valid_bytes >= acked)
+  | Ok (SC.Wal_intact _) -> Alcotest.fail "a torn tail must be repaired"
+  | Error msg -> Alcotest.fail msg);
+  let repaired, rstats = Recovery.replay (Wal.load_file wal_path) in
+  Alcotest.(check bool) "clean after repair" false rstats.Recovery.torn_tail;
+  Alcotest.(check int) "same commit after repair" 1 rstats.Recovery.committed_txs;
+  Alcotest.(check bool) "failed family still absent" false
+    (Database.exists repaired node2);
+  check_fsck_clean repaired wal_path
+
+let batches () =
+  Option.value
+    (Obs.find_counter (Obs.snapshot ()) "wal.group_commit.batches")
+    ~default:0
+
+(* A check-out — lock the composite S, read it, commit — changes
+   nothing, so its commit must not touch the log: no record, no sync,
+   no batch, no clock tick. *)
+let test_check_out_skips_log () =
+  let db, wal, manager = boot () in
+  let tx, node = open_tx manager 1 in
+  ignore (Tx.commit manager tx : int list);
+  let size = Wal.size wal and syncs0 = syncs () and batches0 = batches () in
+  let clock0 = snd (Database.counters db) in
+  for _ = 1 to 10 do
+    let tx = Tx.begin_tx manager in
+    (match Tx.lock_composite manager tx ~root:node Orion_locking.Protocol.Read_ with
+    | `Granted -> ()
+    | `Blocked -> Alcotest.fail "lone reader blocked");
+    Alcotest.(check int) "reads the family" 1
+      (List.length (Traversal.components_of db node));
+    Alcotest.(check bool) "read-only" true (Tx.read_only tx);
+    ignore (Tx.commit manager tx : int list);
+    Alcotest.(check bool) "committed" true (Tx.state tx = Tx.Committed)
+  done;
+  Alcotest.(check int) "log size unchanged" size (Wal.size wal);
+  Alcotest.(check int) "no sync" syncs0 (syncs ());
+  Alcotest.(check int) "no batch" batches0 (batches ());
+  Alcotest.(check int) "clock unchanged" clock0 (snd (Database.counters db));
+  (* The read locks were released: a writer gets the composite at once. *)
+  let tx = Tx.begin_tx manager in
+  match Tx.lock_composite manager tx ~root:node Orion_locking.Protocol.Update with
+  | `Granted -> ignore (Tx.commit manager tx : int list)
+  | `Blocked -> Alcotest.fail "read locks outlived the read-only commit"
+
+(* Interleaved check-outs and group-committed writes on a file-backed
+   log: recovery from the file alone reproduces the live state. *)
+let test_mixed_run_recovers () =
+  let db, wal, manager, wal_path = boot_backed () in
+  let gc = Group_commit.create ~window:0.01 wal in
+  let nodes = ref [] in
+  for i = 1 to 20 do
+    if i mod 4 = 0 then begin
+      let tx, node = open_tx manager i in
+      match solo gc manager tx with
+      | true, _ ->
+          ignore (Tx.complete_commit manager tx : int list);
+          nodes := node :: !nodes
+      | false, err -> Alcotest.failf "write %d failed: %s" i err
+    end
+    else
+      List.iter
+        (fun node ->
+          let tx = Tx.begin_tx manager in
+          (match Tx.lock_composite manager tx ~root:node Orion_locking.Protocol.Read_ with
+          | `Granted -> ()
+          | `Blocked -> Alcotest.fail "lone reader blocked");
+          ignore (Traversal.components_of db node : Oid.t list);
+          ignore (Tx.commit manager tx : int list))
+        !nodes
+  done;
+  Group_commit.shutdown gc;
+  let recovered, rstats = Recovery.replay (Wal.load_file wal_path) in
+  Alcotest.(check int) "every write commit replayed" 5
+    rstats.Recovery.committed_txs;
+  Alcotest.(check int) "live object count" (Database.count db)
+    (Database.count recovered);
+  List.iter
+    (fun node ->
+      Alcotest.(check bool) "written family recovered" true
+        (Database.exists recovered node))
+    !nodes;
+  check_fsck_clean recovered wal_path
 
 let () =
   (* ORION_LOCKDEP=1: watch this suite's real lock traffic; install's
@@ -292,6 +431,14 @@ let () =
             test_fail_mid_batch_aborts_all;
           Alcotest.test_case "torn seal replays nothing" `Quick
             test_torn_seal_replays_nothing;
+          Alcotest.test_case "io error fails the batch durably" `Quick
+            test_io_error_fails_batch_durably;
+        ] );
+      ( "read-only",
+        [
+          Alcotest.test_case "check-out skips the log" `Quick
+            test_check_out_skips_log;
+          Alcotest.test_case "mixed run recovers" `Quick test_mixed_run_recovers;
         ] );
       ( "fsck",
         [

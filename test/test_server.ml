@@ -1113,6 +1113,110 @@ let test_client_kill_releases_snapshot_pins () =
    point until this commit releases (strict 2PL), so waiting out the
    batching window would be pure latency.  The old heuristic counted
    all open transactions and kept the solo committer waiting. *)
+(* A check-out over the wire — begin, composite S lock, read, commit —
+   changes nothing, so even under group commit its commit is lock
+   release: no log bytes, no sync, no batch, no clock tick. *)
+let test_read_only_commit_skips_log () =
+  let env = Eval.create_env () in
+  ignore (Eval.eval_program env schema_forms : Eval.v list);
+  let db = Eval.database env in
+  let wal = Wal.create () in
+  Wal.attach wal db;
+  let config =
+    {
+      Server.default_config with
+      domains = test_domains;
+      group_commit_window = Some 0.002;
+    }
+  in
+  let counter snap name = Option.value (Obs.find_counter snap name) ~default:0 in
+  let (), _, _ =
+    with_server ~config ~wal ~env (fun addr _server ->
+        let c = connect addr in
+        ignore (Client.begin_tx c : int);
+        let root = Client.make c ~cls:"Assembly" () in
+        let part =
+          Client.make c ~cls:"Part" ~parents:[ (root, "Parts") ]
+            ~attrs:[ ("Name", Value.Str "p") ] ()
+        in
+        Client.commit c;
+        let before = Client.stats c in
+        let size = Wal.size wal and clock = snd (Database.counters db) in
+        for _ = 1 to 5 do
+          ignore (Client.begin_tx c : int);
+          Client.lock_composite c ~root Message.Read;
+          Alcotest.(check bool) "check-out reads the part" true
+            (Client.components_of c root = [ part ]);
+          Client.commit c
+        done;
+        let after = Client.stats c in
+        Alcotest.(check int) "no log bytes" size (Wal.size wal);
+        Alcotest.(check int) "no sync" (counter before "wal.syncs")
+          (counter after "wal.syncs");
+        Alcotest.(check int) "no batch"
+          (counter before "wal.group_commit.batches")
+          (counter after "wal.group_commit.batches");
+        Alcotest.(check int) "clock unchanged" clock (snd (Database.counters db));
+        (* The S locks went with the commit: a writer gets in at once. *)
+        ignore (Client.begin_tx c : int);
+        Client.lock_composite c ~root Message.Update;
+        Client.commit c;
+        Client.close c)
+  in
+  ()
+
+(* A log write that fails (disk full) fails its commit with an error
+   reply, and the log stays down: the next commit is refused too, the
+   server keeps serving, and only the acknowledged commit recovers —
+   on the direct path and through the group committer. *)
+let io_error_refuses_commits ~window () =
+  let dir = temp_dir () in
+  let wal_path = Filename.concat dir "io.wal" in
+  let env = Eval.create_env () in
+  ignore (Eval.eval_program env schema_forms : Eval.v list);
+  let wal = Wal.create () in
+  Wal.attach wal (Eval.database env);
+  Wal.set_backing wal (Some wal_path);
+  Persist.save (Eval.database env);
+  let config =
+    { Server.default_config with domains = test_domains; group_commit_window = window }
+  in
+  let make_part c name =
+    ignore (Client.begin_tx c : int);
+    let oid = Client.make c ~cls:"Part" ~attrs:[ ("Name", Value.Str name) ] () in
+    Client.commit c;
+    oid
+  in
+  let refused c name =
+    match make_part c name with
+    | _ -> Alcotest.failf "commit of %s acknowledged over a failed log" name
+    | exception Client.Error (Message.Conflict, msg) ->
+        Alcotest.(check bool)
+          ("refusal names the commit: " ^ msg)
+          true
+          (contains_substring msg "commit failed")
+  in
+  let (), _, _ =
+    with_server ~config ~wal ~env (fun addr _server ->
+        let c = connect addr in
+        let acked = make_part c "acked" in
+        Wal.inject_fault wal (Some (`Io_error_after 0));
+        refused c "lost";
+        (* The disk has room again; the log must stay down regardless. *)
+        Wal.inject_fault wal None;
+        refused c "after";
+        Client.ping c;
+        Client.close c;
+        let recovered, rstats = Recovery.replay (Wal.load_file wal_path) in
+        Alcotest.(check int) "only the acknowledged commit" 1
+          rstats.Recovery.committed_txs;
+        Alcotest.(check bool) "acknowledged part recovered" true
+          (Database.exists recovered acked);
+        Alcotest.(check int) "no other part" 1
+          (List.length (Database.instances_of recovered ~subclasses:false "Part")))
+  in
+  ()
+
 let test_solo_committer_seals_eagerly () =
   let env = Eval.create_env () in
   ignore (Eval.eval_program env schema_forms : Eval.v list);
@@ -1209,6 +1313,12 @@ let () =
             test_client_kill_releases_snapshot_pins;
           Alcotest.test_case "solo committer seals eagerly" `Quick
             test_solo_committer_seals_eagerly;
+          Alcotest.test_case "read-only commit skips the log" `Quick
+            test_read_only_commit_skips_log;
+          Alcotest.test_case "io error refuses commits (direct)" `Quick
+            (io_error_refuses_commits ~window:None);
+          Alcotest.test_case "io error refuses commits (group)" `Quick
+            (io_error_refuses_commits ~window:(Some 0.002));
         ] );
       ( "workload",
         [

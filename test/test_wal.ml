@@ -156,6 +156,165 @@ let test_file_roundtrip () =
         (List.length sample_records - 1)
         (List.length records))
 
+(* File-backed log ------------------------------------------------------------ *)
+
+let temp_path suffix =
+  let path = Filename.temp_file "orion_wal" suffix in
+  at_exit (fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ path; path ^ ".tmp"; path ^ ".bak" ]);
+  path
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+let inode path = (Unix.stat path).Unix.st_ino
+
+(* One commit's worth of frames: an after-image and its seal. *)
+let log_commit wal i =
+  Wal.append wal
+    (Wal_record.Obj_put
+       {
+         tx = i;
+         oid = Oid.of_int i;
+         cluster_with = None;
+         rrefs = [];
+         data = Bytes.make (1 + (i mod 7)) 'a';
+       });
+  Wal.append wal (Wal_record.Commit { tx = i; next_oid = i + 1; clock = i; cc = 0 })
+
+let durable_prefix wal =
+  Bytes.sub_string (Wal.contents wal) 0 (Wal.durable_lsn wal)
+
+let backed_log () =
+  let path = temp_path ".wal" in
+  let wal = Wal.create () in
+  Wal.append wal (Wal_record.Genesis { page_size = 256 });
+  Wal.set_backing wal (Some path);
+  Wal.sync wal;
+  (wal, path)
+
+let test_sync_appends_in_place () =
+  let wal, path = backed_log () in
+  let ino = inode path in
+  for i = 1 to 50 do
+    log_commit wal i;
+    Wal.sync wal;
+    Alcotest.(check int) (Printf.sprintf "sync %d: no rename" i) ino (inode path);
+    Alcotest.(check string)
+      (Printf.sprintf "sync %d: file is the durable prefix" i)
+      (durable_prefix wal) (read_file path)
+  done;
+  Alcotest.(check int) "everything synced" (Wal.size wal) (Wal.durable_lsn wal)
+
+let test_tear_cuts_file () =
+  let wal, path = backed_log () in
+  log_commit wal 1;
+  Wal.sync wal;
+  let before = Wal.size wal in
+  log_commit wal 2;
+  Wal.sync wal;
+  let ino = inode path in
+  (* Lose commit 2's frames from the device. *)
+  Wal.tear wal ~bytes:(Wal.size wal - before);
+  Alcotest.(check string) "file cut to the buffer"
+    (Bytes.to_string (Wal.contents wal))
+    (read_file path);
+  log_commit wal 3;
+  Wal.sync wal;
+  Alcotest.(check int) "still the same file" ino (inode path);
+  Alcotest.(check string) "next sync appends right after the cut"
+    (Bytes.to_string (Wal.contents wal))
+    (read_file path);
+  let { Wal.records; torn_tail; _ } = Wal.scan (Wal.load_file path) in
+  Alcotest.(check bool) "no torn tail" false torn_tail;
+  Alcotest.(check int) "genesis + commits 1 and 3" 5 (List.length records)
+
+(* The replica restart path: a reloaded log chops the torn tail a crash
+   left, and the file loses it too before anything is appended. *)
+let test_tear_after_reload () =
+  let wal, path = backed_log () in
+  log_commit wal 1;
+  Wal.sync wal;
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      Out_channel.output_string oc "\005\000\000");
+  let reloaded = Wal.load_file path in
+  Wal.set_backing reloaded (Some path);
+  let { Wal.torn_tail; valid_bytes; _ } = Wal.scan reloaded in
+  Alcotest.(check bool) "torn tail found" true torn_tail;
+  Wal.tear reloaded ~bytes:(Wal.size reloaded - valid_bytes);
+  Alcotest.(check string) "file cut with the buffer"
+    (Bytes.to_string (Wal.contents reloaded))
+    (read_file path);
+  log_commit reloaded 2;
+  Wal.sync reloaded;
+  let { Wal.records; torn_tail; _ } = Wal.scan (Wal.load_file path) in
+  Alcotest.(check bool) "no torn tail" false torn_tail;
+  Alcotest.(check int) "genesis + commits 1 and 2" 5 (List.length records)
+
+let test_truncate_replaces_file () =
+  let wal, path = backed_log () in
+  for i = 1 to 5 do
+    log_commit wal i;
+    Wal.sync wal
+  done;
+  let ino = inode path in
+  Wal.truncate wal;
+  Alcotest.(check bool) "truncate replaced the file" true (inode path <> ino);
+  (match Wal.scan (Wal.load_file path) with
+  | { Wal.records = [ Wal_record.Genesis { page_size = 256 } ]; torn_tail = false; _ }
+    ->
+      ()
+  | _ -> Alcotest.fail "truncated file must hold exactly one genesis record");
+  let ino = inode path in
+  log_commit wal 6;
+  Wal.sync wal;
+  Alcotest.(check int) "syncs after truncate append in place" ino (inode path);
+  Alcotest.(check string) "file matches the log"
+    (Bytes.to_string (Wal.contents wal))
+    (read_file path)
+
+(* A disk-full write is fail-stop: the failed frames never become
+   durable by a later sync, every later write is refused, and the torn
+   file repairs to the acknowledged prefix. *)
+let test_io_error_fail_stop () =
+  let wal, path = backed_log () in
+  log_commit wal 1;
+  Wal.sync wal;
+  let acked = read_file path in
+  Wal.inject_fault wal (Some (`Io_error_after 0));
+  log_commit wal 2;
+  (match Wal.sync wal with
+  | () -> Alcotest.fail "the sync must fail"
+  | exception Unix.Unix_error (Unix.ENOSPC, _, _) -> ());
+  Alcotest.(check bool) "log crashed" true (Wal.crashed wal);
+  let torn = read_file path in
+  Alcotest.(check bool) "half the batch reached the file" true
+    (String.length torn > String.length acked
+    && String.sub torn 0 (String.length acked) = acked);
+  Alcotest.(check int) "buffer back at the durable point"
+    (String.length acked) (Wal.size wal);
+  Alcotest.check_raises "append refused" Wal.Crashed (fun () -> log_commit wal 3);
+  Alcotest.check_raises "sync refused" Wal.Crashed (fun () -> Wal.sync wal);
+  Alcotest.check_raises "truncate refused" Wal.Crashed (fun () -> Wal.truncate wal);
+  Alcotest.check_raises "save over the log refused" Wal.Crashed (fun () ->
+      Wal.save_file wal path);
+  Alcotest.(check string) "nothing more reached the file" torn (read_file path);
+  let seals file =
+    List.filter_map
+      (function Wal_record.Commit { tx; _ } -> Some tx | _ -> None)
+      (Wal.scan (Wal.load_file file)).Wal.records
+  in
+  Alcotest.(check (list int)) "only the acknowledged commit is sealed" [ 1 ]
+    (seals path);
+  match Orion_analysis.Store_check.repair_wal_tail path with
+  | Ok (Orion_analysis.Store_check.Wal_repaired { valid_bytes; _ }) ->
+      Alcotest.(check int) "repair keeps the acknowledged prefix"
+        (String.length acked) valid_bytes;
+      Alcotest.(check string) "repaired file" acked (read_file path)
+  | Ok (Orion_analysis.Store_check.Wal_intact _) ->
+      Alcotest.fail "a torn tail must be repaired"
+  | Error msg -> Alcotest.fail msg
+
 let () =
   (* ORION_LOCKDEP=1: watch this suite's real lock traffic; install's
      exit hook fails the run on any discipline violation. *)
@@ -175,10 +334,22 @@ let () =
         [
           Alcotest.test_case "fail-after" `Quick test_fail_after_fault;
           Alcotest.test_case "torn-after" `Quick test_torn_after_fault;
+          Alcotest.test_case "io error is fail-stop" `Quick
+            test_io_error_fail_stop;
         ] );
       ( "lifecycle",
         [
           Alcotest.test_case "truncate and stats" `Quick test_truncate_and_stats;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
+        ] );
+      ( "append-only",
+        [
+          Alcotest.test_case "sync appends in place" `Quick
+            test_sync_appends_in_place;
+          Alcotest.test_case "tear cuts the file" `Quick test_tear_cuts_file;
+          Alcotest.test_case "tear after reload cuts the file" `Quick
+            test_tear_after_reload;
+          Alcotest.test_case "truncate replaces the file" `Quick
+            test_truncate_replaces_file;
         ] );
     ]
