@@ -50,7 +50,6 @@ type result = {
   workload : string;
   clients : int;
   domains : int;
-  partitions : int;
   ops : int;
   elapsed_s : float;
   throughput : float; (* ops/s *)
@@ -60,9 +59,6 @@ type result = {
   max_ms : float;
   retries : int;
   syncs_per_commit : float;
-  partition_acquires : int array;  (* txsvc.partition{p=K}.acquires *)
-  partition_contended : int array;
-  merged_searches : int;
 }
 
 let percentile sorted p =
@@ -79,8 +75,8 @@ let snap_counter name =
    unmeasured ops each, then measure until the scenario has run for at
    least [min_duration] seconds (and at least one op); with [fixed_ops]
    they run exactly that many measured ops instead. *)
-let run_scenario ~workload ~clients ~domains ~partitions ~warmup_ops
-    ~min_duration ~fixed_ops =
+let run_scenario ~workload ~clients ~domains ~warmup_ops ~min_duration
+    ~fixed_ops =
   let dir = temp_dir () in
   let sock = Filename.concat dir "bench.sock" in
   let env = Eval.create_env () in
@@ -94,7 +90,6 @@ let run_scenario ~workload ~clients ~domains ~partitions ~warmup_ops
       Server.default_config with
       max_sessions = 64;
       domains;
-      lock_partitions = partitions;
       group_commit_window = Some 0.0005;
     }
   in
@@ -254,18 +249,10 @@ let run_scenario ~workload ~clients ~domains ~partitions ~warmup_ops
       let sorted = Array.copy all in
       Array.sort Float.compare sorted;
       let mean = Array.fold_left ( +. ) 0.0 all /. float_of_int total_ops in
-      (* Per-partition lock traffic, read while this scenario's server
-         still owns the registry cells (each scenario re-registers
-         them, so only p < partitions is current). *)
-      let partition_counters field =
-        Array.init partitions (fun k ->
-            snap_counter (Printf.sprintf "txsvc.partition{p=%d}.%s" k field))
-      in
       {
         workload;
         clients;
         domains;
-        partitions;
         ops = total_ops;
         elapsed_s = elapsed;
         throughput = float_of_int total_ops /. elapsed;
@@ -277,21 +264,12 @@ let run_scenario ~workload ~clients ~domains ~partitions ~warmup_ops
         syncs_per_commit =
           (if total_ops = 0 then 0.
            else float_of_int (syncs_after - !syncs_before) /. float_of_int total_ops);
-        partition_acquires = partition_counters "acquires";
-        partition_contended = partition_counters "contended";
-        merged_searches = snap_counter "txsvc.merged_searches";
       })
 
-let int_array_json a =
-  "["
-  ^ String.concat ", " (Array.to_list (Array.map string_of_int a))
-  ^ "]"
-
-let write_json ~path results ~workloads ~client_counts ~domain_counts
-    ~partition_counts =
+let write_json ~path results ~workloads ~client_counts ~domain_counts =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"orion-bench-server-v3\",\n";
+  Buffer.add_string buf "  \"schema\": \"orion-bench-server-v4\",\n";
   Bench_meta.add buf;
   (* The servers ran in this process: the registry holds the last
      scenario's lock, pool, dispatch and group-commit numbers alongside
@@ -306,36 +284,22 @@ let write_json ~path results ~workloads ~client_counts ~domain_counts
           Buffer.add_string buf (Printf.sprintf "      \"clients-%d\": {\n" clients);
           List.iteri
             (fun di domains ->
+              let r =
+                List.find
+                  (fun r ->
+                    r.workload = workload && r.clients = clients
+                    && r.domains = domains)
+                  results
+              in
               Buffer.add_string buf
-                (Printf.sprintf "        \"domains-%d\": {\n" domains);
-              List.iteri
-                (fun pi partitions ->
-                  let r =
-                    List.find
-                      (fun r ->
-                        r.workload = workload && r.clients = clients
-                        && r.domains = domains && r.partitions = partitions)
-                      results
-                  in
-                  Buffer.add_string buf
-                    (Printf.sprintf
-                       "          \"partitions-%d\": { \"ops\": %d, \
-                        \"elapsed_s\": %.3f, \"throughput_ops_per_s\": %.1f, \
-                        \"latency_ms\": { \"mean\": %.3f, \"p50\": %.3f, \
-                        \"p95\": %.3f, \"max\": %.3f }, \"retries\": %d, \
-                        \"wal_syncs_per_commit\": %.3f, \
-                        \"partition_acquires\": %s, \"partition_contended\": \
-                        %s, \"merged_searches\": %d }%s\n"
-                       r.partitions r.ops r.elapsed_s r.throughput r.mean_ms
-                       r.p50_ms r.p95_ms r.max_ms r.retries r.syncs_per_commit
-                       (int_array_json r.partition_acquires)
-                       (int_array_json r.partition_contended)
-                       r.merged_searches
-                       (if pi = List.length partition_counts - 1 then ""
-                        else ",")))
-                partition_counts;
-              Buffer.add_string buf
-                (Printf.sprintf "        }%s\n"
+                (Printf.sprintf
+                   "        \"domains-%d\": { \"ops\": %d, \"elapsed_s\": %.3f, \
+                    \"throughput_ops_per_s\": %.1f, \"latency_ms\": { \
+                    \"mean\": %.3f, \"p50\": %.3f, \"p95\": %.3f, \"max\": \
+                    %.3f }, \"retries\": %d, \"wal_syncs_per_commit\": %.3f \
+                    }%s\n"
+                   domains r.ops r.elapsed_s r.throughput r.mean_ms r.p50_ms
+                   r.p95_ms r.max_ms r.retries r.syncs_per_commit
                    (if di = List.length domain_counts - 1 then "" else ",")))
             domain_counts;
           Buffer.add_string buf
@@ -374,7 +338,6 @@ let () =
   let warmup_ops = if quick then 2 else 5 in
   let client_counts = if quick then [ 1; 8 ] else [ 1; 8; 32 ] in
   let domain_counts = if quick then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let partition_counts = if quick then [ 1; 2 ] else [ 1; 4 ] in
   let workloads = [ "conflict-heavy"; "disjoint" ] in
   print_endline
     "=== Network server bench: multi-client transactions, sharded reactor ===";
@@ -391,55 +354,24 @@ let () =
       (fun workload ->
         List.concat_map
           (fun clients ->
-            List.concat_map
+            List.map
               (fun domains ->
-                List.map
-                  (fun partitions ->
-                    let r =
-                      run_scenario ~workload ~clients ~domains ~partitions
-                        ~warmup_ops ~min_duration ~fixed_ops
-                    in
-                    let busy =
-                      Array.fold_left
-                        (fun n c -> if c > 0 then n + 1 else n)
-                        0 r.partition_acquires
-                    in
-                    Printf.printf
-                      "%-15s %2d clients x %d domains x %d partitions: %7.1f \
-                       ops/s  mean %6.2f ms  p95 %7.2f ms  syncs/commit %.3f  \
-                       (%d retries, %d/%d partitions busy)\n\
-                       %!"
-                      workload clients domains partitions r.throughput
-                      r.mean_ms r.p95_ms r.syncs_per_commit r.retries busy
-                      partitions;
-                    r)
-                  partition_counts)
+                let r =
+                  run_scenario ~workload ~clients ~domains ~warmup_ops
+                    ~min_duration ~fixed_ops
+                in
+                Printf.printf
+                  "%-15s %2d clients x %d domains: %7.1f ops/s  mean %6.2f ms  \
+                   p95 %7.2f ms  syncs/commit %.3f  (%d retries)\n\
+                   %!"
+                  workload clients domains r.throughput r.mean_ms r.p95_ms
+                  r.syncs_per_commit r.retries;
+                r)
               domain_counts)
           client_counts)
       workloads
   in
-  (* Smoke assertion: under real load a partitioned lock space must
-     actually split its traffic — a keying bug that funnels every
-     granule into one partition would pass every correctness test while
-     silently restoring the global-mutex behavior this PR removes. *)
-  List.iter
-    (fun r ->
-      if r.partitions >= 2 && r.clients >= 8 then begin
-        let busy =
-          Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0
-            r.partition_acquires
-        in
-        if busy < 2 then
-          failwith
-            (Printf.sprintf
-               "partition split check: %s, %d clients x %d partitions drove \
-                all lock traffic into one partition (%s)"
-               r.workload r.clients r.partitions
-               (int_array_json r.partition_acquires))
-      end)
-    results;
   match json_path with
   | Some path ->
       write_json ~path results ~workloads ~client_counts ~domain_counts
-        ~partition_counts
   | None -> ()

@@ -767,20 +767,9 @@ let serve_cmd =
           ~doc:
             "Shard the reactor across $(docv) domains (OS threads with \
              parallel socket I/O and frame decoding); 1, the default, is \
-             the classic single-threaded reactor.")
-  in
-  let lock_partitions =
-    Arg.(
-      value & opt int 0
-      & info [ "lock-partitions" ] ~docv:"N"
-          ~doc:
-            "Partition the lock table into $(docv) slices keyed by composite \
-             root (class granules by storage segment, instance granules by \
-             oid hash), each behind its own mutex with its own \
-             $(i,txsvc.partition{p=K}.*) instruments; deadlock search runs \
-             incrementally per partition, merging only for cross-partition \
-             waits.  0, the default, matches $(b,--domains); 1 is the \
-             pre-partitioning single table.")
+             the classic single-threaded reactor.  The transactional core \
+             (database, lock table, transaction bookkeeping) stays \
+             serialised under one service lock whatever the count.")
   in
   let group_commit_window =
     Arg.(
@@ -852,7 +841,7 @@ let serve_cmd =
              detectors offline.  Implies $(b,--lockdep).")
   in
   let run db_file wal socket port max_sessions lock_timeout metrics_interval
-      slow_op_ms domains lock_partitions group_commit_window repl replica_of
+      slow_op_ms domains group_commit_window repl replica_of
       ddl_gate lockdep lockdep_trace =
     if lockdep || Option.is_some lockdep_trace then
       Orion_analysis.Lockdep.install ?trace:lockdep_trace ();
@@ -873,7 +862,6 @@ let serve_cmd =
         metrics_interval =
           (if metrics_interval <= 0. then None else Some metrics_interval);
         domains = (if domains < 1 then 1 else domains);
-        lock_partitions = (if lock_partitions < 0 then 0 else lock_partitions);
         group_commit_window =
           (if group_commit_window <= 0 then None
            else Some (float_of_int group_commit_window /. 1_000_000.));
@@ -1092,7 +1080,7 @@ let serve_cmd =
     Term.(
       const run $ db_pos $ wal_flag $ socket $ port $ max_sessions
       $ lock_timeout $ metrics_interval $ slow_op_ms $ domains
-      $ lock_partitions $ group_commit_window $ repl_flag $ replica_of
+      $ group_commit_window $ repl_flag $ replica_of
       $ ddl_gate $ lockdep $ lockdep_trace)
 
 let promote_cmd =
@@ -1325,8 +1313,8 @@ let lockdep_check_cmd =
        ~doc:
          "Replay a recorded lock-event trace through the lock-discipline \
           checker offline: rank inversions, lock-order inversions with \
-          two-site witnesses, recursive locks, merged-search protocol \
-          breaches, no-block classes held across blocking operations.  \
+          two-site witnesses, recursive locks, same-class nesting, \
+          no-block classes held across blocking operations.  \
           Same exit contract as $(b,orion analyze): 2 on errors, 1 on \
           warnings, 0 clean.")
     Term.(const run $ trace $ hierarchy $ sexp)
@@ -1336,7 +1324,7 @@ let () =
      not just serve's --lockdep flag. *)
   Orion_analysis.Lockdep.install_from_env ();
   let doc = "Composite objects a la ORION (Kim, Bertino & Garza, SIGMOD 1989)" in
-  let info = Cmd.info "orion" ~version:"1.10.0" ~doc in
+  let info = Cmd.info "orion" ~version:"1.11.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval

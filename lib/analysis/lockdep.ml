@@ -17,25 +17,18 @@ module SA = Schema_analysis
 module Omutex = Orion_util.Omutex
 module Obs = Orion_obs.Metrics
 
-type lclass = {
-  name : string;
-  rank : int;
-  no_block : bool;
-  asc_region : string option;
-}
+type lclass = { name : string; rank : int; no_block : bool }
 
 type levent =
   | L_acquire of lclass * int * string
   | L_release of lclass * int
   | L_blocking of string * string
-  | L_region of bool * string
   | L_allow of bool
 
 type held = { h_cls : lclass; h_inst : int; h_site : string }
 
 type tstate = {
   mutable held : held list;  (* innermost first *)
-  mutable regions : string list;
   mutable allow : int;
 }
 
@@ -97,7 +90,7 @@ let state_of eng key =
   match Hashtbl.find_opt eng.threads key with
   | Some st -> st
   | None ->
-      let st = { held = []; regions = []; allow = 0 } in
+      let st = { held = []; allow = 0 } in
       Hashtbl.replace eng.threads key st;
       st
 
@@ -187,52 +180,17 @@ let on_acquire eng st (cls : lclass) inst site =
             Printf.sprintf "%s#%d re-acquired at %s while already held (at %s)"
               cls.name inst site prior.h_site;
         }
-  | _ -> (
-      match cls.asc_region with
-      | Some r when List.mem r st.regions ->
-          let hi =
-            List.fold_left (fun m h -> max m h.h_inst) min_int same
-          in
-          if inst < hi then
-            add_finding eng ~dedup_key:("asc:" ^ cls.name)
-              {
-                SA.severity = SA.Error;
-                code = "merged-search-protocol";
-                cls = cls.name;
-                path = [ cls.name ];
-                detail =
-                  Printf.sprintf
-                    "%s#%d acquired at %s after #%d inside region %s: \
-                     instance order must ascend"
-                    cls.name inst site hi r;
-              }
-      | Some r ->
-          let prior = List.hd same in
-          add_finding eng ~dedup_key:("multi:" ^ cls.name)
-            {
-              SA.severity = SA.Error;
-              code = "merged-search-protocol";
-              cls = cls.name;
-              path = [ cls.name ];
-              detail =
-                Printf.sprintf
-                  ">1 %s instance held outside region %s: #%d (at %s) still \
-                   held while acquiring #%d at %s"
-                  cls.name r prior.h_inst prior.h_site inst site;
-            }
-      | None ->
-          let prior = List.hd same in
-          add_finding eng ~dedup_key:("multi:" ^ cls.name)
-            {
-              SA.severity = SA.Error;
-              code = "same-class-nesting";
-              cls = cls.name;
-              path = [ cls.name ];
-              detail =
-                Printf.sprintf
-                  "%s#%d (at %s) still held while acquiring #%d at %s"
-                  cls.name prior.h_inst prior.h_site inst site;
-            }));
+  | prior :: _ ->
+      add_finding eng ~dedup_key:("multi:" ^ cls.name)
+        {
+          SA.severity = SA.Error;
+          code = "same-class-nesting";
+          cls = cls.name;
+          path = [ cls.name ];
+          detail =
+            Printf.sprintf "%s#%d (at %s) still held while acquiring #%d at %s"
+              cls.name prior.h_inst prior.h_site inst site;
+        });
   List.iter
     (fun h ->
       if cls.rank < h.h_cls.rank then
@@ -284,50 +242,34 @@ let process eng st = function
   | L_acquire (cls, inst, site) -> on_acquire eng st cls inst site
   | L_release (cls, inst) -> on_release st cls inst
   | L_blocking (op, site) -> on_blocking eng st op site
-  | L_region (true, r) -> st.regions <- r :: st.regions
-  | L_region (false, r) ->
-      let rec drop = function
-        | [] -> []
-        | x :: rest when String.equal x r -> rest
-        | x :: rest -> x :: drop rest
-      in
-      st.regions <- drop st.regions
   | L_allow true -> st.allow <- st.allow + 1
   | L_allow false -> st.allow <- max 0 (st.allow - 1)
 
 (* Live events ------------------------------------------------------------- *)
 
 let lclass_of k =
-  {
-    name = Omutex.name k;
-    rank = Omutex.rank k;
-    no_block = Omutex.no_block k;
-    asc_region = Omutex.asc_region k;
-  }
+  { name = Omutex.name k; rank = Omutex.rank k; no_block = Omutex.no_block k }
 
 let levent_of = function
   | Omutex.Acquire { cls; inst; site } -> L_acquire (lclass_of cls, inst, site)
   | Omutex.Release { cls; inst } -> L_release (lclass_of cls, inst)
   | Omutex.Blocking { op; site } -> L_blocking (op, site)
-  | Omutex.Region_enter r -> L_region (true, r)
-  | Omutex.Region_exit r -> L_region (false, r)
   | Omutex.Allow_enter _ -> L_allow true
   | Omutex.Allow_exit _ -> L_allow false
 
-(* Trace lines.  [C name rank no_block asc_region] headers interleave
+(* Trace lines.  [C name rank no_block] headers interleave
    lazily (emitted before a class's first [A]), so appending several
    processes to one file stays parseable; keys are pid-qualified for
-   the same reason.  No token ever contains a space: class names, ops
-   and regions are dotted/dashed identifiers, sites are "file.ml:N". *)
+   the same reason.  No token ever contains a space: class names and
+   ops are dotted/dashed identifiers, sites are "file.ml:N". *)
 
 let write_trace eng key ev =
   let buf = eng.trace_buf in
   let ensure_class (c : lclass) =
     if not (Hashtbl.mem eng.traced_classes c.name) then begin
       Hashtbl.replace eng.traced_classes c.name ();
-      Printf.bprintf buf "C %s %d %d %s\n" c.name c.rank
+      Printf.bprintf buf "C %s %d %d\n" c.name c.rank
         (if c.no_block then 1 else 0)
-        (match c.asc_region with Some r -> r | None -> "-")
     end
   in
   match ev with
@@ -338,8 +280,6 @@ let write_trace eng key ev =
       ensure_class c;
       Printf.bprintf buf "R %s %s %d\n" key c.name inst
   | L_blocking (op, site) -> Printf.bprintf buf "B %s %s %s\n" key op site
-  | L_region (enter, r) ->
-      Printf.bprintf buf "G %s %s %s\n" key (if enter then "+" else "-") r
   | L_allow enter ->
       Printf.bprintf buf "X %s %s\n" key (if enter then "+" else "-")
 
@@ -461,14 +401,12 @@ let check_trace path =
            incr lineno;
            let n = !lineno in
            match String.split_on_char ' ' line with
-           | [ "C"; cname; r; nb; reg ] ->
+           | [ "C"; cname; r; nb ] ->
                Hashtbl.replace classes cname
                  {
                    name = cname;
                    rank = int_of n r;
                    no_block = String.equal nb "1";
-                   asc_region =
-                     (if String.equal reg "-" then None else Some reg);
                  }
            | [ "A"; key; cname; inst; site ] ->
                feed eng ~key
@@ -476,8 +414,6 @@ let check_trace path =
            | [ "R"; key; cname; inst ] ->
                feed eng ~key (L_release (cls_of n cname, int_of n inst))
            | [ "B"; key; op; site ] -> feed eng ~key (L_blocking (op, site))
-           | [ "G"; key; pm; r ] ->
-               feed eng ~key (L_region (String.equal pm "+", r))
            | [ "X"; key; pm ] -> feed eng ~key (L_allow (String.equal pm "+"))
            | [] | [ "" ] -> ()
            | _ ->

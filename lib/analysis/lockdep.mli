@@ -17,11 +17,8 @@
       contradicting one.
     - {b recursive-lock} (error): same class, same instance,
       re-acquired.
-    - {b merged-search-protocol} (error): more than one instance of an
-      ascending-region class held outside its region, or instances
-      taken out of ascending order inside it.
-    - {b same-class-nesting} (error): two instances of a class with no
-      ascending region held at once.
+    - {b same-class-nesting} (error): two instances of one class held
+      at once.
     - {b held-across-blocking} (warning): a no-block class held across
       a declared blocking operation, outside any
       {!Orion_util.Omutex.allow_blocking} bracket. *)

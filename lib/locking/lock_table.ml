@@ -14,43 +14,30 @@ type entry = {
   mutable queue : (tx_id * Lock_mode.t) list;  (* FIFO, head first *)
 }
 
-(* The table's instruments, separable from the table itself: when the
-   lock space is partitioned (see {!Lock_partitions}) every slice feeds
-   the same counters — the registry replaces on name collision, so N
-   tables each registering "lock.acquisitions" would leave only the
-   last one visible.  Racing increments from two partitions can at
-   worst lose a count, never crash (the registry's stated policy). *)
-type instruments = {
+type stats = { acquisitions : int; blocks : int; wakeups : int }
+
+type t = {
+  compat : Lock_mode.t -> Lock_mode.t -> bool;
+  entries : (granule, entry) Hashtbl.t;
   acquisitions : Obs.counter;
   blocks : Obs.counter;
   wakeups : Obs.counter;
   upgrades : Obs.counter;
   class_blocks : (string, Obs.counter) Hashtbl.t;
+  mutable classify : Oid.t -> string option;
 }
 
-let make_instruments () =
+let create ?(compat = Lock_mode.compat) () =
   {
+    compat;
+    entries = Hashtbl.create 64;
     acquisitions = Obs.counter "lock.acquisitions";
     blocks = Obs.counter "lock.blocks";
     wakeups = Obs.counter "lock.wakeups";
     upgrades = Obs.counter "lock.upgrades";
     class_blocks = Hashtbl.create 16;
+    classify = (fun _ -> None);
   }
-
-type t = {
-  compat : Lock_mode.t -> Lock_mode.t -> bool;
-  entries : (granule, entry) Hashtbl.t;
-  ins : instruments;
-  mutable classify : Oid.t -> string option;
-}
-
-type stats = { acquisitions : int; blocks : int; wakeups : int }
-
-let create ?(compat = Lock_mode.compat) ?instruments () =
-  let ins =
-    match instruments with Some ins -> ins | None -> make_instruments ()
-  in
-  { compat; entries = Hashtbl.create 64; ins; classify = (fun _ -> None) }
 
 let set_classifier t f = t.classify <- f
 
@@ -66,11 +53,11 @@ let count_class_block t granule =
   | None -> ()
   | Some cls ->
       let c =
-        match Hashtbl.find_opt t.ins.class_blocks cls with
+        match Hashtbl.find_opt t.class_blocks cls with
         | Some c -> c
         | None ->
             let c = Obs.counter (Obs.labeled "lock.blocks" ("class", cls)) in
-            Hashtbl.replace t.ins.class_blocks cls c;
+            Hashtbl.replace t.class_blocks cls c;
             c
       in
       Obs.incr c
@@ -121,7 +108,7 @@ let grant t e ~tx mode =
   in
   match coalesce e.granted with
   | Some granted ->
-      Obs.incr t.ins.upgrades;
+      Obs.incr t.upgrades;
       e.granted <- granted
   | None -> e.granted <- e.granted @ [ (tx, mode) ]
 
@@ -155,7 +142,7 @@ let acquire t ~tx granule mode =
      would overwrite the pending (possibly incomparable) mode with the
      held one and lose the stronger request. *)
   if covered e ~tx mode then begin
-    Obs.incr t.ins.acquisitions;
+    Obs.incr t.acquisitions;
     `Granted
   end
   else if List.exists (fun (waiter, _) -> waiter = tx) e.queue then begin
@@ -163,7 +150,7 @@ let acquire t ~tx granule mode =
     `Blocked
   end
   else begin
-    Obs.incr t.ins.acquisitions;
+    Obs.incr t.acquisitions;
     if
       (* FIFO fairness: a request must also wait behind queued requests
          of other transactions unless it is already a holder
@@ -175,7 +162,7 @@ let acquire t ~tx granule mode =
       `Granted
     end
     else begin
-      Obs.incr t.ins.blocks;
+      Obs.incr t.blocks;
       count_class_block t granule;
       e.queue <- e.queue @ [ (tx, mode) ];
       `Blocked
@@ -188,14 +175,14 @@ let try_acquire t ~tx granule mode =
     (* Account the covered path like [acquire] does, so callers that
        mix the two entry points (opportunistic escalation) see
        consistent acquisition counts. *)
-    Obs.incr t.ins.acquisitions;
+    Obs.incr t.acquisitions;
     true
   end
   else if
     compatible_with_others t e ~tx mode
     && (e.queue = [] || List.mem_assoc tx e.granted)
   then begin
-    Obs.incr t.ins.acquisitions;
+    Obs.incr t.acquisitions;
     grant t e ~tx mode;
     true
   end
@@ -217,15 +204,6 @@ let waiting t =
       List.fold_left (fun acc (tx, mode) -> (tx, granule, mode) :: acc) acc e.queue)
     t.entries []
 
-let queued t ~tx =
-  Hashtbl.fold
-    (fun _ e acc ->
-      acc || List.exists (fun (waiter, _) -> waiter = tx) e.queue)
-    t.entries false
-
-let has_waiters t =
-  Hashtbl.fold (fun _ e acc -> acc || e.queue <> []) t.entries false
-
 (* Promote queued requests that have become compatible, FIFO. *)
 let promote t e =
   let woken = ref [] in
@@ -235,7 +213,7 @@ let promote t e =
     | (tx, mode) :: rest ->
         if compatible_with_others t e ~tx mode then begin
           grant t e ~tx mode;
-          Obs.incr t.ins.wakeups;
+          Obs.incr t.wakeups;
           woken := tx :: !woken;
           go rest
         end
@@ -291,21 +269,10 @@ let blocked_on t ~tx =
   |> List.filter (fun other -> other <> tx)
   |> List.sort_uniq Int.compare
 
-(* Cycle search over the union of several tables' waits-for graphs —
-   the merged search of a partitioned lock space (each table is one
-   partition's slice; a cross-partition cycle's edges are split among
-   them and no single table can see it).  With one table this is
-   exactly the classic whole-table search. *)
-let find_deadlock_over tables =
-  let blocked_on_all tx =
-    List.sort_uniq Int.compare
-      (List.concat_map (fun t -> blocked_on t ~tx) tables)
-  in
+(* Cycle search over the waits-for graph. *)
+let find_deadlock t =
   let txs =
-    List.sort_uniq Int.compare
-      (List.concat_map
-         (fun t -> List.map (fun (tx, _, _) -> tx) (waiting t))
-         tables)
+    List.sort_uniq Int.compare (List.map (fun (tx, _, _) -> tx) (waiting t))
   in
   (* Transactions fully explored without finding a cycle.  The set is
      shared across the whole search, not threaded per branch: a node
@@ -329,7 +296,7 @@ let find_deadlock_over tables =
         List.fold_left
           (fun acc next ->
             match acc with Some _ -> acc | None -> dfs (tx :: path) next)
-          None (blocked_on_all tx)
+          None (blocked_on t ~tx)
       in
       (match result with None -> Hashtbl.replace cleared tx () | Some _ -> ());
       result
@@ -338,17 +305,18 @@ let find_deadlock_over tables =
     (fun acc tx -> match acc with Some _ -> acc | None -> dfs [] tx)
     None txs
 
-let find_deadlock t = find_deadlock_over [ t ]
-
-let stats (t : t) =
+let stats (t : t) : stats =
   {
-    acquisitions = Obs.counter_value t.ins.acquisitions;
-    blocks = Obs.counter_value t.ins.blocks;
-    wakeups = Obs.counter_value t.ins.wakeups;
+    acquisitions = Obs.counter_value t.acquisitions;
+    blocks = Obs.counter_value t.blocks;
+    wakeups = Obs.counter_value t.wakeups;
   }
 
 let reset_stats (t : t) =
-  Obs.reset_counter t.ins.acquisitions;
-  Obs.reset_counter t.ins.blocks;
-  Obs.reset_counter t.ins.wakeups;
-  Obs.reset_counter t.ins.upgrades
+  Obs.reset_counter t.acquisitions;
+  Obs.reset_counter t.blocks;
+  Obs.reset_counter t.wakeups;
+  Obs.reset_counter t.upgrades;
+  (* The per-class family too: left alone it would keep counting from
+     before the reset and read higher than the [lock.blocks] total. *)
+  Hashtbl.iter (fun _ c -> Obs.reset_counter c) t.class_blocks

@@ -17,22 +17,10 @@ type tx_id = int
 
 type t
 
-type instruments
-(** The obs counters a table feeds ([lock.acquisitions] and kin).
-    Separable so a partitioned lock space ({!Lock_partitions}) can
-    share one record across its slices — the registry replaces on name
-    collision, so per-slice registration would hide all but one. *)
-
-val make_instruments : unit -> instruments
-
-val create :
-  ?compat:(Lock_mode.t -> Lock_mode.t -> bool) ->
-  ?instruments:instruments ->
-  unit ->
-  t
+val create : ?compat:(Lock_mode.t -> Lock_mode.t -> bool) -> unit -> t
 (** [?compat] defaults to {!Lock_mode.compat} (the paper's matrix);
-    pass {!Lock_mode.compat_refined} for ablation A3.  [?instruments]
-    defaults to a fresh {!make_instruments} registration. *)
+    pass {!Lock_mode.compat_refined} for ablation A3.  Registers the
+    table's [lock.*] counters in the obs registry. *)
 
 val set_classifier : t -> (Oid.t -> string option) -> unit
 (** Install the instance→class mapping used to label per-class block
@@ -60,14 +48,6 @@ val locks_of : t -> tx:tx_id -> (granule * Lock_mode.t) list
 
 val waiting : t -> (tx_id * granule * Lock_mode.t) list
 
-val queued : t -> tx:tx_id -> bool
-(** Whether the transaction still has a request queued anywhere in this
-    table (used by a partitioned space to decide "fully unblocked"
-    across slices). *)
-
-val has_waiters : t -> bool
-(** Whether any request is queued at any granule. *)
-
 val release_all : t -> tx:tx_id -> tx_id list
 (** Release every lock and pending request of the transaction; returns
     transactions whose queued requests became fully unblocked (no
@@ -80,13 +60,9 @@ val blocked_on : t -> tx:tx_id -> tx_id list
 val find_deadlock : t -> tx_id list option
 (** A cycle in the waits-for graph, if any. *)
 
-val find_deadlock_over : t list -> tx_id list option
-(** A cycle in the union of several tables' waits-for graphs — the
-    merged search over a partitioned lock space, where a
-    cross-partition cycle's edges are split among slices and no single
-    table can see it.  [find_deadlock_over [t]] = [find_deadlock t]. *)
-
 type stats = { acquisitions : int; blocks : int; wakeups : int }
 
 val stats : t -> stats
 val reset_stats : t -> unit
+(** Zero every [lock.*] counter the table feeds, the per-class
+    [lock.blocks{class=C}] family included. *)

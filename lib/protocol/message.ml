@@ -8,7 +8,8 @@ module R = Orion_storage.Bytes_rw.Reader
    pushes) and the [Read_only]/[Repl_error] error codes.
    v4: snapshot reads ([Begin_snapshot]/[End_snapshot] plus the
    snapshot-scoped [Read_attr]/[Ancestors_of] reads) and the [Value]
-   result payload. *)
+   result payload; later the [Io_error] code (tag 11), which a peer
+   built before it decodes as a corrupt frame. *)
 let version = 4
 
 type access = Read | Update
@@ -68,6 +69,7 @@ type err_code =
   | Shutting_down
   | Read_only
   | Repl_error
+  | Io_error
 
 type reply =
   | Welcome of { version : int; session : int }
@@ -101,6 +103,7 @@ let err_code_to_string = function
   | Shutting_down -> "shutting-down"
   | Read_only -> "read-only"
   | Repl_error -> "repl-error"
+  | Io_error -> "io-error"
 
 let pp_access ppf = function
   | Read -> Format.pp_print_string ppf "read"
@@ -369,6 +372,7 @@ let err_code_tag = function
   | Shutting_down -> 8
   | Read_only -> 9
   | Repl_error -> 10
+  | Io_error -> 11
 
 let err_code_of_tag = function
   | 0 -> Unsupported_version
@@ -382,6 +386,7 @@ let err_code_of_tag = function
   | 8 -> Shutting_down
   | 9 -> Read_only
   | 10 -> Repl_error
+  | 11 -> Io_error
   | tag -> corrupt "bad error-code tag %d" tag
 
 let encode_server msg =

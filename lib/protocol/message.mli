@@ -98,6 +98,11 @@ type err_code =
   | Repl_error
       (** replication protocol misuse: subscribe on a non-primary,
           promote of a non-replica, an out-of-range LSN *)
+  | Io_error
+      (** the log failed to make a commit durable (disk full, failed
+          write or fsync, or a log already crashed by one); the
+          transaction was aborted.  Not retryable: the log stays down
+          until the server restarts. *)
 
 type reply =
   | Welcome of { version : int; session : int }

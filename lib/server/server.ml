@@ -20,7 +20,6 @@ type config = Shard.config = {
   metrics_interval : float option;
   domains : int;
   group_commit_window : float option;
-  lock_partitions : int;
 }
 
 let default_config = Shard.default_config
@@ -88,22 +87,12 @@ let parked_count t =
 
 let create ?(config = default_config) ?wal ?repl env addr =
   let config = { config with domains = max 1 config.domains } in
-  (* 0 = auto: one lock partition per reactor shard, so the partition
-     count scales with the parallelism that contends on them. *)
-  let config =
-    {
-      config with
-      lock_partitions =
-        (if config.lock_partitions <= 0 then config.domains
-         else config.lock_partitions);
-    }
-  in
   let listen_fd, bound = listen_on addr in
   let stop_r, stop_w = Unix.pipe () in
   Unix.set_nonblock stop_r;
   let svc =
     Tx_service.create ?wal ?group_commit_window:config.group_commit_window ?repl
-      ~lock_partitions:config.lock_partitions env
+      env
   in
   let shards =
     Array.init config.domains (fun idx ->

@@ -73,13 +73,6 @@ type config = Shard.config = {
       (** group-commit batching window in seconds; [None] or [0.]
           syncs every commit inline (default [None]).  Only effective
           with a log attached. *)
-  lock_partitions : int;
-      (** lock-table partitions, keyed by composite root (class
-          granules by storage segment, instance granules by oid hash),
-          each behind its own mutex with its own
-          [txsvc.partition{p=K}.*] instruments; [0] (the default)
-          means one per domain.  [1] is the pre-partitioning single
-          table, byte-for-byte. *)
 }
 
 val default_config : config

@@ -26,9 +26,6 @@ type config = {
   metrics_interval : float option;
   domains : int;
   group_commit_window : float option;
-  lock_partitions : int;
-      (* lock-table partitions, keyed by composite root; [0] (the
-         default) means one per domain *)
 }
 
 let default_config =
@@ -40,7 +37,6 @@ let default_config =
     metrics_interval = None;
     domains = 1;
     group_commit_window = None;
-    lock_partitions = 0;
   }
 
 type session = {
@@ -309,9 +305,9 @@ and resume_one t tx_id =
                   pump t session
               | `Blocked ->
                   (* Still waiting, now on a later lock of the set: a
-                     fresh wait-for edge.  The partition's generation
-                     counter recorded it inside [acquire]; the next
-                     tick's [deadlock_check_due] sees it. *)
+                     fresh wait-for edge.  The manager's generation
+                     counter recorded it; the next tick's
+                     [deadlock_check_due] sees it. *)
                   ()
               | exception Core_error.Error e ->
                   (* The lock target vanished while the session was
@@ -580,9 +576,15 @@ and handle t session req =
                   resume t unblocked
               | exception e ->
                   let unblocked = Tx.abort manager tx in
-                  error session Message.Conflict
-                    ("commit failed: " ^ Printexc.to_string e
-                   ^ "; transaction aborted");
+                  let code, msg =
+                    match e with
+                    | Unix.Unix_error _ | Orion_wal.Wal.Crashed ->
+                        (Message.Io_error, Orion_wal.Wal.failure_message e)
+                    | e ->
+                        ( Message.Conflict,
+                          "commit failed: " ^ Printexc.to_string e )
+                  in
+                  error session code (msg ^ "; transaction aborted");
                   resume t unblocked)))
   | Message.Abort -> (
       match session.tx with
@@ -759,8 +761,9 @@ let handle_commit_done t ~sid ~tx ~ok ~err =
       session.committing <- None;
       if ok then reply session (Message.Result Message.Unit)
       else
-        error session Message.Conflict
-          ("commit failed: " ^ err ^ "; transaction aborted");
+        (* The batch's log write failed: [err] is the log's
+           {!Orion_wal.Wal.failure_message}. *)
+        error session Message.Io_error (err ^ "; transaction aborted");
       resume t unblocked;
       pump t session
   | Some _ | None ->
@@ -1156,8 +1159,8 @@ let run t =
             in
             (* Take the core lock only on ticks that have work for it:
                requests to dispatch, peer messages, a drain, a grown
-               wait-for edge ([deadlock_check_due] reads the partition
-               generations lock-free), a timeout that could have
+               wait-for edge ([deadlock_check_due] reads the manager's
+               generation lock-free), a timeout that could have
                expired, or a catalog change awaiting its checkpoint.
                An idle shard's select timeout then costs no core-lock
                traffic at all. *)

@@ -70,9 +70,9 @@ type t = {
   dispatch_hist : Obs.histogram;
 }
 
-let create ?wal ?group_commit_window ?(repl = Standalone) ?lock_partitions env =
+let create ?wal ?group_commit_window ?(repl = Standalone) env =
   let db = Eval.database env in
-  let manager = Tx.create ?wal ?lock_partitions db in
+  let manager = Tx.create ?wal db in
   let gc =
     match (wal, group_commit_window) with
     | Some wal, Some window when window > 0. ->
@@ -117,15 +117,12 @@ let set_posters t posters = t.posters <- posters
 
 let post t ~shard msg = t.posters.(shard) msg
 
-(* The serialization point of the transactional core: the database and
-   the session-transaction bookkeeping ([tx_owner], group-commit
-   submit, checkpoint policy).  The lock table itself is no longer
-   under it — it is partitioned by composite root, each partition
-   behind its own mutex with its own txsvc.partition{p=K}.*
-   instruments (see {!Orion_locking.Lock_partitions}).  Each shard
-   takes the core lock at most once per reactor tick, and only on
-   ticks that have work for it, dispatching its whole batch of ready
-   requests under one hold.  The wait/hold histograms and the
+(* The serialization point of the transactional core: the database, the
+   lock table (it has no mutex of its own) and the session-transaction
+   bookkeeping ([tx_owner], group-commit submit, checkpoint policy).
+   Each shard takes the core lock at most once per reactor tick, and
+   only on ticks that have work for it, dispatching its whole batch of
+   ready requests under one hold.  The wait/hold histograms and the
    contended counter measure exactly what this mutex costs. *)
 let with_lock t f =
   let t0 = Unix.gettimeofday () in

@@ -1,6 +1,5 @@
 open Orion_core
 module Lock_table = Orion_locking.Lock_table
-module Lock_partitions = Orion_locking.Lock_partitions
 module Lock_mode = Orion_locking.Lock_mode
 module Protocol = Orion_locking.Protocol
 module Obs = Orion_obs.Metrics
@@ -21,7 +20,11 @@ type tx = {
 
 type t = {
   db : Database.t;
-  parts : Lock_partitions.t;
+  table : Lock_table.t;
+  generation : int Atomic.t;
+      (* bumped whenever a request blocks — the only event that can add
+         a waits-for edge *)
+  searched : int Atomic.t;  (* the generation last searched clean *)
   txs : (int, tx) Hashtbl.t;
   mutable next_tx : int;
   escalation_threshold : int option;
@@ -35,27 +38,15 @@ type t = {
    just a registered view into the version store at its begin clock. *)
 type snapshot_tx = { snap_id : int; view : Snapshot_read.t }
 
-let create ?compat ?escalation_threshold ?wal ?(lock_partitions = 1) db =
-  let parts = Lock_partitions.create ?compat ~n:lock_partitions () in
-  Lock_partitions.set_classifier parts (fun oid ->
+let create ?compat ?escalation_threshold ?wal db =
+  let table = Lock_table.create ?compat () in
+  Lock_table.set_classifier table (fun oid ->
       Option.map (fun i -> i.Instance.cls) (Database.find db oid));
-  (* Partition keying reuses the storage-segment clustering computed at
-     [make] time: a class granule follows its segment (composite
-     hierarchies are co-segmented, so a root's class-lattice path stays
-     together), an instance granule hashes its oid — the composite
-     protocol only locks the root's instance granule, so that keys it
-     by composite root.  Both inputs are immutable per granule. *)
-  Lock_partitions.set_keyer parts (function
-    | Lock_table.G_class cls -> (
-        match
-          Orion_schema.Schema.segment_of_class (Database.schema db) cls
-        with
-        | segment -> segment
-        | exception Orion_schema.Schema.Error _ -> Hashtbl.hash cls)
-    | Lock_table.G_instance oid -> Oid.hash oid);
   {
     db;
-    parts;
+    table;
+    generation = Atomic.make 0;
+    searched = Atomic.make 0;
     txs = Hashtbl.create 16;
     next_tx = 0;
     escalation_threshold;
@@ -68,11 +59,7 @@ let create ?compat ?escalation_threshold ?wal ?(lock_partitions = 1) db =
 let database t = t.db
 let set_wal t wal = t.wal <- Some wal
 
-(* Partition 0's table: with one partition (the default) this is the
-   whole lock space, and its instruments are shared across partitions
-   either way, so [Lock_table.stats] on it reads the global counters. *)
-let lock_table t = Lock_partitions.table0 t.parts
-let lock_partitions t = t.parts
+let lock_table t = t.table
 let version_store t = t.mvcc
 
 (* Runnable transactions: [Active] only — neither parked on a lock nor
@@ -107,12 +94,13 @@ let state tx = tx.tx_state
 let acquire_set t tx locks =
   match
     Obs.Span.time ~histogram:t.acquire_hist "lock.acquire" (fun () ->
-        Lock_partitions.acquire_set t.parts ~tx:tx.id locks)
+        Protocol.acquire_all t.table ~tx:tx.id locks)
   with
   | `Granted ->
       tx.tx_state <- Active;
       `Granted
   | `Blocked _ ->
+      Atomic.incr t.generation;
       tx.tx_state <- Blocked;
       `Blocked
 
@@ -161,8 +149,8 @@ let lock_instance t tx oid access =
         Oid.Tbl.replace oids oid ();
         if
           Oid.Tbl.length oids >= threshold
-          && Lock_partitions.try_acquire t.parts ~tx:tx.id
-               (Lock_table.G_class cls) (escalation_mode access)
+          && Lock_table.try_acquire t.table ~tx:tx.id (Lock_table.G_class cls)
+               (escalation_mode access)
         then begin
           tx.escalated_classes <- key :: tx.escalated_classes;
           Obs.incr t.escalations
@@ -275,7 +263,7 @@ let finish t tx state =
      queued, so finishing a [Blocked] transaction (deadlock victim,
      wire-level cancel or lock timeout) leaves no orphan waiter to be
      granted later. *)
-  let unblocked = Lock_partitions.release_all t.parts ~tx:tx.id in
+  let unblocked = Lock_table.release_all t.table ~tx:tx.id in
   List.iter
     (fun id ->
       match Hashtbl.find_opt t.txs id with
@@ -416,11 +404,22 @@ let abort t tx =
 let abort_id t id =
   match Hashtbl.find_opt t.txs id with Some tx -> abort t tx | None -> []
 
-(* Incremental: only partitions dirtied by a new wait-for edge are
-   searched, and the merged cross-partition search runs only when
-   waiters sit in several partitions (see {!Lock_partitions}). *)
-let find_deadlock t = Lock_partitions.find_deadlock t.parts
-let deadlock_check_due t = Lock_partitions.deadlock_check_due t.parts
+(* Lock-free: an idle server tick reads it without the core lock. *)
+let deadlock_check_due t = Atomic.get t.generation <> Atomic.get t.searched
+
+(* Searches only when a request has blocked since the last clean
+   search.  The generation is read before searching: an edge added
+   meanwhile bumps past it and stays due.  A found cycle leaves the
+   mark alone, so the search reruns after the victim's abort. *)
+let find_deadlock t =
+  let gen = Atomic.get t.generation in
+  if gen = Atomic.get t.searched then None
+  else
+    match Lock_table.find_deadlock t.table with
+    | Some _ as cycle -> cycle
+    | None ->
+        Atomic.set t.searched gen;
+        None
 
 (* Snapshot transactions ------------------------------------------------------ *)
 

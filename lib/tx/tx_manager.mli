@@ -5,7 +5,13 @@
     captures the objects it may touch before mutating, and abort
     restores them.  This is a single-process simulation — [`Blocked]
     results park the transaction rather than suspend a thread; the
-    {!Scheduler} drives interleavings for the concurrency benchmarks. *)
+    {!Scheduler} drives interleavings for the concurrency benchmarks.
+
+    A manager and its one lock table are not thread-safe: the caller
+    serialises every call.  The network server does so with its
+    [txsvc.core] service lock, under which every lock-table call runs
+    (the lock table has no mutex of its own).  The one exception is
+    {!deadlock_check_due}, which only reads an [Atomic]. *)
 
 open Orion_core
 
@@ -24,7 +30,6 @@ val create :
   ?compat:(Orion_locking.Lock_mode.t -> Orion_locking.Lock_mode.t -> bool) ->
   ?escalation_threshold:int ->
   ?wal:Orion_wal.Wal.t ->
-  ?lock_partitions:int ->
   Database.t ->
   t
 (** [?escalation_threshold]: when a transaction accumulates that many
@@ -37,13 +42,7 @@ val create :
     database).  Each {!commit} then appends the transaction's
     after-images and a commit record before releasing locks, making the
     commit durable for {!Orion_wal.Recovery.replay}.  Default: no
-    logging (in-memory transaction semantics).
-
-    [?lock_partitions]: slice the lock space into that many
-    {!Orion_locking.Lock_partitions} partitions, keyed by composite
-    root — class granules by storage segment, instance granules by oid
-    hash.  Default [1] (one table, the pre-partitioning behavior,
-    byte-for-byte). *)
+    logging (in-memory transaction semantics). *)
 
 val database : t -> Database.t
 
@@ -53,12 +52,6 @@ val set_wal : t -> Orion_wal.Wal.t -> unit
     accepting writes.  Call at a transaction-quiescent point. *)
 
 val lock_table : t -> Orion_locking.Lock_table.t
-(** Partition 0's table.  With one partition (the default) this is the
-    whole lock space; its instruments are shared across partitions
-    either way, so {!Orion_locking.Lock_table.stats} on it reads the
-    global counters. *)
-
-val lock_partitions : t -> Orion_locking.Lock_partitions.t
 
 val active_count : t -> int
 (** Open transactions in [Active] state — runnable, neither parked on a
@@ -156,15 +149,15 @@ val abort_id : t -> int -> int list
     Unknown or already-finished ids return [[]]. *)
 
 val find_deadlock : t -> int list option
-(** Incremental over the partitioned lock space: partitions with no new
-    wait-for edge since their last clean search are skipped, and the
-    merged cross-partition search runs only when waiters sit in two or
-    more partitions. *)
+(** A cycle in the waits-for graph.  Incremental: returns [None]
+    without searching unless a request has blocked since the last
+    search that found nothing. *)
 
 val deadlock_check_due : t -> bool
-(** Whether any partition has grown a wait-for edge since its last
-    clean search — i.e. whether {!find_deadlock} could possibly find
-    anything.  Lock-free; reads the partition generations. *)
+(** Whether a request has blocked since the last clean search — i.e.
+    whether {!find_deadlock} could possibly find anything.  Lock-free
+    (one [Atomic] generation against the clean mark), so it is safe
+    without the caller's serialisation. *)
 
 (** {1 Snapshot transactions}
 

@@ -9,7 +9,6 @@ type klass = {
   k_name : string;
   k_rank : int;
   k_no_block : bool;
-  k_asc_region : string option;
   k_doc : string;
 }
 
@@ -20,16 +19,8 @@ type klass = {
 let registry : (string, klass) Hashtbl.t = Hashtbl.create 16
 let registry_mu = Mutex.create ()
 
-let declare ?(no_block = false) ?asc_region ~doc ~name ~rank () =
-  let k =
-    {
-      k_name = name;
-      k_rank = rank;
-      k_no_block = no_block;
-      k_asc_region = asc_region;
-      k_doc = doc;
-    }
-  in
+let declare ?(no_block = false) ~doc ~name ~rank () =
+  let k = { k_name = name; k_rank = rank; k_no_block = no_block; k_doc = doc } in
   Mutex.lock registry_mu;
   let dup = Hashtbl.mem registry name in
   if not dup then Hashtbl.replace registry name k;
@@ -40,7 +31,6 @@ let declare ?(no_block = false) ?asc_region ~doc ~name ~rank () =
 let name k = k.k_name
 let rank k = k.k_rank
 let no_block k = k.k_no_block
-let asc_region k = k.k_asc_region
 let doc k = k.k_doc
 
 let classes () =
@@ -51,47 +41,37 @@ let classes () =
 
 let hierarchy_markdown () =
   let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "| rank | class | no-block | same-class nesting | role |\n";
-  Buffer.add_string b "|-----:|-------|----------|--------------------|------|\n";
+  Buffer.add_string b "| rank | class | no-block | role |\n";
+  Buffer.add_string b "|-----:|-------|----------|------|\n";
   List.iter
     (fun k ->
       Buffer.add_string b
-        (Printf.sprintf "| %d | `%s` | %s | %s | %s |\n" k.k_rank k.k_name
+        (Printf.sprintf "| %d | `%s` | %s | %s |\n" k.k_rank k.k_name
            (if k.k_no_block then "yes" else "—")
-           (match k.k_asc_region with
-           | Some r -> Printf.sprintf "ascending in `%s`" r
-           | None -> "never")
            k.k_doc))
     (classes ());
   Buffer.contents b
 
 (* The engine hierarchy, outermost (lowest rank) first.  The rank gaps
    are deliberate room for future classes.  Ordering arguments, in
-   brief: the service core is the outermost thing any dispatch holds;
-   partition mutexes nest under it (lock acquisition runs inside
-   dispatch); the obs registry sits in the middle because creation
-   paths take it while holding core/partition locks (label cells,
-   per-class histograms) and Obs.snapshot holds it while calling gauge
+   brief: the service core is the outermost thing any dispatch holds
+   (the lock table has no mutex: it runs entirely under the core); the
+   obs registry sits in the middle because creation paths take it
+   while holding the core lock (label cells, per-class histograms)
+   and Obs.snapshot holds it while calling gauge
    closures that read the tailer and the WAL; the WAL log mutex and
    the version store are innermost — everything logs and publishes,
    nothing is acquired under them. *)
 
 let txsvc_core =
   declare ~no_block:true ~name:"txsvc.core" ~rank:10
-    ~doc:"service core: db, sessions, tx bookkeeping; one tick at a time"
-    ()
+    ~doc:
+      "service core: db, lock table, sessions, tx bookkeeping; one tick at \
+       a time" ()
 
 let shard_inbox =
   declare ~name:"shard.inbox" ~rank:20
     ~doc:"per-shard cross-domain message inbox (instance = shard id)" ()
-
-let lock_partition =
-  declare ~no_block:true ~asc_region:"merged-search" ~name:"lock.partition"
-    ~rank:30
-    ~doc:
-      "one lock-table partition (instance = partition index); at most \
-       one held, except the merged deadlock search" ()
 
 let group_commit =
   declare ~name:"wal.group_commit" ~rank:40
@@ -117,8 +97,6 @@ type event =
   | Acquire of { cls : klass; inst : int; site : string }
   | Release of { cls : klass; inst : int }
   | Blocking of { op : string; site : string }
-  | Region_enter of string
-  | Region_exit of string
   | Allow_enter of string
   | Allow_exit of string
 
@@ -210,11 +188,4 @@ let allow_blocking opname f =
   else begin
     !tracer (Allow_enter opname);
     Fun.protect ~finally:(fun () -> !tracer (Allow_exit opname)) f
-  end
-
-let in_region rname f =
-  if not !enabled then f ()
-  else begin
-    !tracer (Region_enter rname);
-    Fun.protect ~finally:(fun () -> !tracer (Region_exit rname)) f
   end

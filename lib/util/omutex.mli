@@ -1,21 +1,16 @@
 (** Ranked mutexes: every internal engine mutex belongs to a declared
     {e lock class} with a rank, and (when a tracer is installed — see
     {!Lockdep} in [orion_analysis]) each acquisition, release, blocking
-    operation, and discipline region is reported as an {!event}.
+    operation, and blocking exemption is reported as an {!event}.
 
     The hierarchy is the whole point: ranks order the classes from
     outermost (lowest rank, acquired first) to innermost, so the legal
     nesting relation is "may acquire a strictly higher rank while
-    holding a lower one".  Two exceptions are first-class here rather
-    than folklore:
-
-    - same-class nesting: a class may declare an {e ascending region}
-      (e.g. ["merged-search"]) inside which several instances of the
-      class may be held at once, provided instance numbers only ever
-      ascend — the merged deadlock search over all lock partitions.
-    - blocking exemptions: {!allow_blocking} brackets code that holds a
-      no-block class across a declared durability point by design (the
-      direct-commit fsync, the checkpoint bracket).
+    holding a lower one"; two instances of one class are never held at
+    once.  The one exception is first-class here rather than folklore:
+    {!allow_blocking} brackets code that holds a no-block class across
+    a declared durability point by design (the direct-commit fsync, the
+    checkpoint bracket).
 
     When no tracer is installed ([enabled] false), every operation is a
     flat [bool ref] test away from the raw [Mutex] call — cheap enough
@@ -23,26 +18,22 @@
 
 type klass
 (** A lock class: one per mutex {e role}, shared by all its instances
-    (each lock partition is an instance of [lock_partition]). *)
+    (each reactor shard's inbox is an instance of [shard_inbox]). *)
 
 val declare :
   ?no_block:bool ->
-  ?asc_region:string ->
   doc:string ->
   name:string ->
   rank:int ->
   unit ->
   klass
 (** Declare a new lock class.  [no_block] marks classes that must never
-    be held across a blocking operation ({!blocking}); [asc_region]
-    names the one region inside which same-class nesting in ascending
-    instance order is legal.  Raises [Invalid_argument] on a duplicate
-    name. *)
+    be held across a blocking operation ({!blocking}).  Raises
+    [Invalid_argument] on a duplicate name. *)
 
 val name : klass -> string
 val rank : klass -> int
 val no_block : klass -> bool
-val asc_region : klass -> string option
 val doc : klass -> string
 
 val classes : unit -> klass list
@@ -61,7 +52,6 @@ val hierarchy_markdown : unit -> string
 
 val txsvc_core : klass
 val shard_inbox : klass
-val lock_partition : klass
 val group_commit : klass
 val obs_registry : klass
 val repl_tailer : klass
@@ -76,8 +66,6 @@ type event =
   | Blocking of { op : string; site : string }
       (** A blocking operation (fsync, select, socket write) is about
           to run on this thread. *)
-  | Region_enter of string
-  | Region_exit of string
   | Allow_enter of string
   | Allow_exit of string
 
@@ -97,7 +85,7 @@ type t
 
 val create : ?inst:int -> klass -> t
 (** A mutex in [klass]; [inst] distinguishes instances of
-    multi-instance classes (partition index, shard id).  Omitted, each
+    multi-instance classes (shard id).  Omitted, each
     mutex gets a unique negative instance — distinct singletons (two
     servers in one process) never alias. *)
 
@@ -121,8 +109,3 @@ val blocking : op:string -> (unit -> 'a) -> 'a
 val allow_blocking : string -> (unit -> 'a) -> 'a
 (** Bracket a declared exemption: blocking inside is legal even while
     holding no-block classes.  Nests (a depth count per thread). *)
-
-val in_region : string -> (unit -> 'a) -> 'a
-(** Bracket a named discipline region (e.g. ["merged-search"]), inside
-    which a class declaring [asc_region] may nest its own instances in
-    ascending order. *)

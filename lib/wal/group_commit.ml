@@ -87,7 +87,7 @@ let flush_batch t batch =
   let outcome =
     match Wal.log_batch t.wal ~records ~seal with
     | () -> Ok ()
-    | exception e -> Error (Printexc.to_string e)
+    | exception e -> Error (Wal.failure_message e)
   in
   (match outcome with
   | Ok () ->

@@ -9,6 +9,12 @@ module Durable_file = Orion_storage.Durable_file
 
 exception Crashed
 
+let failure_message = function
+  | Unix.Unix_error (err, call, _) ->
+      Printf.sprintf "log I/O error: %s (%s)" (Unix.error_message err) call
+  | Crashed -> "log crashed"
+  | e -> Printexc.to_string e
+
 type fault_kind = Fail | Torn | Io
 
 type fault = { kind : fault_kind; mutable remaining : int }

@@ -36,6 +36,11 @@ type t
 
 exception Crashed
 
+val failure_message : exn -> string
+(** What a client is told about a commit the log refused: ["log I/O
+    error: <reason> (<call>)"] for a [Unix.Unix_error], ["log crashed"]
+    for {!Crashed}, the exception text for anything else. *)
+
 val create : unit -> t
 
 val append : t -> Wal_record.t -> unit

@@ -44,9 +44,8 @@ let contains hay needle =
 
 let detail_mentions f needle = contains f.SA.detail needle
 
-(* Respecting the hierarchy — including ascending same-class nesting
-   inside the declared region and a clean wait-style release/reacquire
-   — produces nothing. *)
+(* Respecting the hierarchy — including two instances of one class
+   taken one after the other, never both at once — produces nothing. *)
 let test_clean_run () =
   let eng = Lockdep.create_engine () in
   feed eng "t1"
@@ -55,14 +54,10 @@ let test_clean_run () =
       acq ~site:"a.ml:2" Omutex.wal_log;
       rel Omutex.wal_log;
       rel Omutex.txsvc_core;
-      Omutex.Region_enter "merged-search";
-      acq ~inst:0 ~site:"a.ml:3" Omutex.lock_partition;
-      acq ~inst:1 ~site:"a.ml:4" Omutex.lock_partition;
-      acq ~inst:2 ~site:"a.ml:5" Omutex.lock_partition;
-      rel ~inst:2 Omutex.lock_partition;
-      rel ~inst:1 Omutex.lock_partition;
-      rel ~inst:0 Omutex.lock_partition;
-      Omutex.Region_exit "merged-search";
+      acq ~inst:0 ~site:"a.ml:3" Omutex.shard_inbox;
+      rel ~inst:0 Omutex.shard_inbox;
+      acq ~inst:1 ~site:"a.ml:4" Omutex.shard_inbox;
+      rel ~inst:1 Omutex.shard_inbox;
     ];
   (* Another thread taking the same classes in the same order adds
      edges, never findings. *)
@@ -131,39 +126,6 @@ let test_same_class_nesting () =
     [ acq ~inst:0 ~site:"n.ml:1" gamma; acq ~inst:1 ~site:"n.ml:2" gamma ];
   Alcotest.(check bool) "nesting flagged" true
     (find_code eng "same-class-nesting" <> None)
-
-let test_merged_search_protocol () =
-  (* Two partition instances outside the region: flagged. *)
-  let eng = Lockdep.create_engine () in
-  feed eng "t1"
-    [
-      acq ~inst:0 ~site:"p.ml:1" Omutex.lock_partition;
-      acq ~inst:1 ~site:"p.ml:2" Omutex.lock_partition;
-    ];
-  Alcotest.(check bool) "multi-hold outside region flagged" true
-    (find_code eng "merged-search-protocol" <> None);
-  (* Descending instance order inside the region: also flagged. *)
-  let eng = Lockdep.create_engine () in
-  feed eng "t1"
-    [
-      Omutex.Region_enter "merged-search";
-      acq ~inst:2 ~site:"q.ml:1" Omutex.lock_partition;
-      acq ~inst:1 ~site:"q.ml:2" Omutex.lock_partition;
-    ];
-  (match find_code eng "merged-search-protocol" with
-  | None -> Alcotest.fail "descending order missed"
-  | Some f ->
-      Alcotest.(check bool) "names the region" true
-        (detail_mentions f "merged-search"));
-  (* Ascending inside the region: clean (the sanctioned search). *)
-  let eng = Lockdep.create_engine () in
-  feed eng "t1"
-    [
-      Omutex.Region_enter "merged-search";
-      acq ~inst:0 ~site:"s.ml:1" Omutex.lock_partition;
-      acq ~inst:3 ~site:"s.ml:2" Omutex.lock_partition;
-    ];
-  Alcotest.(check (list string)) "ascending is clean" [] (codes eng)
 
 let test_held_across_blocking () =
   let eng = Lockdep.create_engine () in
@@ -311,10 +273,8 @@ let test_trace_roundtrip () =
     [
       acq ~site:"c.ml:1" Omutex.txsvc_core;
       Omutex.Blocking { op = "unix.select"; site = "s.ml:3" };
-      Omutex.Region_enter "merged-search";
       Omutex.Allow_enter "checkpoint-durability";
       Omutex.Allow_exit "checkpoint-durability";
-      Omutex.Region_exit "merged-search";
     ];
   Lockdep.flush_trace eng;
   let live = Lockdep.engine_findings eng in
@@ -360,8 +320,6 @@ let () =
           Alcotest.test_case "recursive lock" `Quick test_recursive_lock;
           Alcotest.test_case "same-class nesting" `Quick
             test_same_class_nesting;
-          Alcotest.test_case "merged-search protocol" `Quick
-            test_merged_search_protocol;
           Alcotest.test_case "held across blocking" `Quick
             test_held_across_blocking;
           Alcotest.test_case "dedup, ordering, exit codes" `Quick

@@ -477,287 +477,68 @@ let test_per_class_block_labels () =
     (Obs.find_counter snap (Obs.labeled "lock.blocks" ("class", "?")));
   Alcotest.(check int) "unlabeled total counts all three" 3 (LT.stats t).LT.blocks
 
-(* Partitioned lock space --------------------------------------------------------- *)
-
-module LP = Orion_locking.Lock_partitions
-
-let merged_searches () =
+(* The per-class block family resets with the totals: after a reset
+   no [lock.blocks{class=C}] may read higher than [lock.blocks]. *)
+let test_reset_stats_resets_class_family () =
   let module Obs = Orion_obs.Metrics in
-  Option.value
-    (Obs.find_counter (Obs.snapshot ()) "txsvc.merged_searches")
-    ~default:0
-
-(* Key instance granules by raw oid so tests place granules in
-   partitions deliberately. *)
-let by_oid = function
-  | LT.G_class _ -> 0
-  | LT.G_instance oid -> Oid.to_int oid
-
-let test_partition_determinism () =
-  let p = LP.create ~n:4 () in
-  LP.set_keyer p by_oid;
-  Alcotest.(check int) "n reported" 4 (LP.n_partitions p);
-  for i = 0 to 15 do
-    Alcotest.(check int)
-      (Printf.sprintf "oid %d keys stably" i)
-      (i mod 4)
-      (LP.partition_id p (LT.G_instance (Oid.of_int i)))
-  done;
-  (* Mutual exclusion holds across the facade exactly as on one table:
-     the same granule always lands on the same slice. *)
-  let g = LT.G_instance (Oid.of_int 5) in
-  Alcotest.(check bool) "granted" true (LP.acquire p ~tx:1 g LM.X = `Granted);
-  Alcotest.(check bool) "conflicts across facade" true
-    (LP.acquire p ~tx:2 g LM.X = `Blocked);
-  ignore (LP.release_all p ~tx:1 : int list);
-  ignore (LP.release_all p ~tx:2 : int list)
-
-(* A cycle whose edges are split across partitions is invisible to any
-   single slice: only the merged search can see it — and it must. *)
-let test_cross_partition_cycle_found () =
-  let p = LP.create ~n:4 () in
-  LP.set_keyer p by_oid;
-  let oid i = LT.G_instance (Oid.of_int i) in
-  Alcotest.(check bool) "t1 holds oid1" true (LP.acquire p ~tx:1 (oid 1) LM.X = `Granted);
-  Alcotest.(check bool) "t2 holds oid2" true (LP.acquire p ~tx:2 (oid 2) LM.X = `Granted);
-  Alcotest.(check bool) "no check due yet" false (LP.deadlock_check_due p);
-  Alcotest.(check bool) "t1 blocks on oid2" true (LP.acquire p ~tx:1 (oid 2) LM.X = `Blocked);
-  Alcotest.(check bool) "edge dirtied a partition" true (LP.deadlock_check_due p);
-  Alcotest.(check (option (list int))) "half a cycle is no cycle" None
-    (LP.find_deadlock p);
-  Alcotest.(check bool) "clean search reset the generations" false
-    (LP.deadlock_check_due p);
-  let merged0 = merged_searches () in
-  Alcotest.(check bool) "t2 blocks on oid1" true (LP.acquire p ~tx:2 (oid 1) LM.X = `Blocked);
-  (match LP.find_deadlock p with
-  | Some cycle ->
-      Alcotest.(check bool) "cycle holds both txs" true
-        (List.mem 1 cycle && List.mem 2 cycle)
-  | None -> Alcotest.fail "cross-partition cycle missed");
-  Alcotest.(check bool) "the merged search ran" true (merged_searches () > merged0)
-
-(* The incremental detector's whole point: workloads confined to one
-   partition are searched locally and never pay the merged
-   (all-mutexes) pass. *)
-let test_single_partition_no_merged_search () =
-  let p = LP.create ~n:4 () in
-  LP.set_keyer p (fun _ -> 0);
-  let oid i = LT.G_instance (Oid.of_int i) in
-  let merged0 = merged_searches () in
-  Alcotest.(check bool) "t1 holds" true (LP.acquire p ~tx:1 (oid 1) LM.X = `Granted);
-  Alcotest.(check bool) "t2 holds" true (LP.acquire p ~tx:2 (oid 2) LM.X = `Granted);
-  Alcotest.(check bool) "t1 blocks" true (LP.acquire p ~tx:1 (oid 2) LM.X = `Blocked);
-  Alcotest.(check bool) "t2 blocks" true (LP.acquire p ~tx:2 (oid 1) LM.X = `Blocked);
-  (match LP.find_deadlock p with
-  | Some cycle -> Alcotest.(check int) "local cycle found" 2 (List.length cycle)
-  | None -> Alcotest.fail "single-partition cycle missed");
-  Alcotest.(check int) "merged search never ran" merged0 (merged_searches ());
-  (* Break it the way the server does and re-verify quiescence. *)
-  ignore (LP.release_all p ~tx:2 : int list);
-  Alcotest.(check (option (list int))) "clean after abort" None (LP.find_deadlock p);
-  Alcotest.(check int) "still no merged search" merged0 (merged_searches ())
-
-(* Stress the merged deadlock search under real parallelism: 4 domains
-   hammer a 4-partition lock space over a deliberately tiny granule
-   pool, taking pairs in opposite orders so cross-partition cycles —
-   and therefore the merged (all-mutexes, ascending) search — actually
-   happen.  Meanwhile a private lockdep engine watches every partition
-   mutex acquisition: the merged search's multi-hold must be clean
-   (inside its declared region, ascending), and mutual exclusion is
-   re-checked with an owner-cell CAS on every direct grant. *)
-let test_merged_search_stress_4x4 () =
-  let module Lockdep = Orion_analysis.Lockdep in
-  let module Omutex = Orion_util.Omutex in
-  let eng = Lockdep.create_engine () in
-  Omutex.set_tracer (Some (Lockdep.tracer_of eng));
-  Fun.protect
-    ~finally:(fun () ->
-      match Lockdep.installed () with
-      | Some global -> Omutex.set_tracer (Some (Lockdep.tracer_of global))
-      | None -> Omutex.set_tracer None)
-  @@ fun () ->
-  let p = LP.create ~n:4 () in
-  LP.set_keyer p by_oid;
-  let n_oids = 8 in
-  let owner = Array.init n_oids (fun _ -> Atomic.make 0) in
-  let double_holds = Atomic.make 0 in
-  let cycles_broken = Atomic.make 0 in
-  let merged0 = merged_searches () in
-  let rounds = 400 in
-  let worker d =
-    for r = 1 to rounds do
-      let tx = (d * rounds) + r in
-      (* Opposite orders by domain parity: even domains walk the oid
-         ring up, odd domains walk it down — classic ABBA, split
-         across partitions because consecutive oids key to different
-         slices. *)
-      let a = (d + r) mod n_oids in
-      let b = (a + 1) mod n_oids in
-      let g1, g2 = if d land 1 = 0 then (a, b) else (b, a) in
-      let grant i tx =
-        (* A direct grant means exclusive ownership: the previous
-           owner cell must be empty.  (Promotions of queued waiters
-           never race this: a blocked tx here is aborted at once, and
-           release_all drops its queue entries with it.) *)
-        if not (Atomic.compare_and_set owner.(i) 0 tx) then
-          Atomic.incr double_holds
-      in
-      let ungrant i tx = ignore (Atomic.compare_and_set owner.(i) tx 0 : bool) in
-      (match LP.acquire p ~tx (LT.G_instance (Oid.of_int g1)) LM.X with
-      | `Blocked -> ignore (LP.release_all p ~tx : int list)
-      | `Granted -> (
-          grant g1 tx;
-          (match LP.acquire p ~tx (LT.G_instance (Oid.of_int g2)) LM.X with
-          | `Granted -> grant g2 tx; ungrant g2 tx
-          | `Blocked ->
-              (* Both halves of an ABBA park right here in two
-                 different domains: dwell a little so the windows
-                 overlap and find_deadlock sees waiters in 2+
-                 partitions — the merged search's trigger. *)
-              let found = ref false in
-              let tries = ref 0 in
-              while (not !found) && !tries < 10 do
-                incr tries;
-                (match LP.find_deadlock p with
-                | Some _ ->
-                    Atomic.incr cycles_broken;
-                    found := true
-                | None -> ());
-                Thread.yield ()
-              done);
-          ungrant g1 tx;
-          ignore (LP.release_all p ~tx : int list)))
-    done
+  let t = LT.create () in
+  let block_on cls ~holder ~waiter =
+    ignore (LT.acquire t ~tx:holder (LT.G_class cls) LM.X);
+    Alcotest.(check bool) (cls ^ " blocks") true
+      (LT.acquire t ~tx:waiter (LT.G_class cls) LM.X = `Blocked)
   in
-  let domains = Array.init 4 (fun d -> Domain.spawn (fun () -> worker d)) in
-  Array.iter Domain.join domains;
-  Alcotest.(check int) "mutual exclusion held" 0 (Atomic.get double_holds);
-  (* The random phase usually produces a cross-partition standoff, but
-     "usually" is flaky; stage a guaranteed one.  Two domains each
-     take their own granule (different partitions), rendezvous, then
-     take each other's: both are parked before either scans, so the
-     scan sees waiters in two partitions and must run the merged
-     search — the only one that can find this cycle. *)
-  let barrier = Atomic.make 0 in
-  let merged1 = merged_searches () in
-  let standoff me other =
-    let tx = 100_000 + me in
-    (match LP.acquire p ~tx (LT.G_instance (Oid.of_int me)) LM.X with
-    | `Granted -> ()
-    | `Blocked -> Alcotest.fail "standoff granule unexpectedly held");
-    Atomic.incr barrier;
-    while Atomic.get barrier < 2 do
-      Domain.cpu_relax ()
-    done;
-    (match LP.acquire p ~tx (LT.G_instance (Oid.of_int other)) LM.X with
-    | `Granted -> Alcotest.fail "ABBA second grant should block"
-    | `Blocked ->
-        while merged_searches () = merged1 do
-          (match LP.find_deadlock p with
-          | Some _ -> Atomic.incr cycles_broken
-          | None -> ());
-          Thread.yield ()
-        done);
-    ignore (LP.release_all p ~tx : int list)
-  in
-  let d0 = Domain.spawn (fun () -> standoff 0 1) in
-  let d1 = Domain.spawn (fun () -> standoff 1 0) in
-  Domain.join d0;
-  Domain.join d1;
-  Alcotest.(check bool) "the merged search ran under contention" true
-    (merged_searches () > merged0);
-  Alcotest.(check bool) "a cross-partition cycle was found and broken" true
-    (Atomic.get cycles_broken > 0);
-  let errors =
-    List.filter
-      (fun f -> f.Orion_analysis.Schema_analysis.severity
-                = Orion_analysis.Schema_analysis.Error)
-      (Lockdep.engine_findings eng)
-  in
-  (match errors with
-  | [] -> ()
-  | f :: _ ->
-      Alcotest.failf "lockdep flagged the merged search: %s"
-        f.Orion_analysis.Schema_analysis.detail);
-  (* Positive control: the same watcher, fed the inverse discipline on
-     two partition mutexes — descending outside any region — must
-     produce a merged-search-protocol error with both sites, or the
-     clean run above proves nothing. *)
-  let eng2 = Lockdep.create_engine () in
-  Omutex.set_tracer (Some (Lockdep.tracer_of eng2));
-  let m0 = Omutex.create ~inst:0 Omutex.lock_partition in
-  let m1 = Omutex.create ~inst:1 Omutex.lock_partition in
-  Omutex.lock m1;
-  Omutex.lock m0;
-  Omutex.unlock m0;
-  Omutex.unlock m1;
-  match
-    List.find_opt
-      (fun f ->
-        String.equal f.Orion_analysis.Schema_analysis.code
-          "merged-search-protocol")
-      (Lockdep.engine_findings eng2)
-  with
-  | None -> Alcotest.fail "seeded inversion went unflagged"
-  | Some f ->
-      Alcotest.(check bool) "witness names this file" true
-        (let d = f.Orion_analysis.Schema_analysis.detail in
-         let needle = "test_locking.ml" in
-         let nh = String.length d and nn = String.length needle in
-         let rec go i =
-           i + nn <= nh && (String.sub d i nn = needle || go (i + 1))
-         in
-         go 0)
+  block_on "Assembly" ~holder:1 ~waiter:2;
+  block_on "Part" ~holder:1 ~waiter:3;
+  LT.reset_stats t;
+  block_on "Assembly" ~holder:1 ~waiter:4;
+  let snap = Obs.snapshot () in
+  let total = Option.value ~default:0 (Obs.find_counter snap "lock.blocks") in
+  Alcotest.(check int) "total counts the block since the reset" 1 total;
+  List.iter
+    (fun cls ->
+      let name = Obs.labeled "lock.blocks" ("class", cls) in
+      let v = Option.value ~default:0 (Obs.find_counter snap name) in
+      if v > total then
+        Alcotest.failf "%s = %d exceeds lock.blocks = %d" name v total)
+    [ "Assembly"; "Part" ]
 
-(* Property: a constructed wait-for cycle of length k spanning several
-   partitions is always found by the facade, agrees with a one-table
-   oracle running the same script, and aborting the youngest member
-   (the server's victim policy) clears it — on both. *)
-let prop_cross_partition_cycles_found =
-  QCheck.Test.make ~name:"cross-partition cycles found, youngest victim clears"
-    ~count:100
+(* Property: a constructed wait-for cycle of length k among holder-only
+   bystanders is always found, the found cycle is exactly the
+   constructed one, and aborting the youngest member (the server's
+   victim policy) clears it. *)
+let prop_k_cycles_found =
+  QCheck.Test.make ~name:"k-cycles found, youngest victim clears" ~count:100
     QCheck.(make QCheck.Gen.(pair (int_range 2 6) (int_range 0 3)))
     (fun (k, noise) ->
-      let p = LP.create ~n:4 () in
-      LP.set_keyer p by_oid;
-      let oracle = LT.create () in
+      let t = LT.create () in
       let oid i = LT.G_instance (Oid.of_int i) in
-      let acquire tx g m =
-        let a = LP.acquire p ~tx g m in
-        let b = LT.acquire oracle ~tx g m in
-        if a <> b then failwith "facade and oracle disagree on a grant";
-        a
-      in
-      (* k transactions each hold their own oid; consecutive oids over
-         n=4 always span >= 2 partitions. *)
+      (* k transactions each hold their own oid. *)
       for i = 1 to k do
-        ignore (acquire i (oid i) LM.X)
+        if LT.acquire t ~tx:i (oid i) LM.X <> `Granted then
+          failwith "a holder was refused its own oid"
       done;
       (* Holder-only bystanders: traffic that must not confuse the
          search or the victim policy. *)
       for j = 1 to noise do
-        ignore (acquire (100 + j) (oid (100 + j)) LM.X)
+        ignore (LT.acquire t ~tx:(100 + j) (oid (100 + j)) LM.X)
       done;
       (* The cycle: i waits for i+1, k waits for 1. *)
       for i = 1 to k do
-        ignore (acquire i (oid ((i mod k) + 1)) LM.X)
+        if LT.acquire t ~tx:i (oid ((i mod k) + 1)) LM.X <> `Blocked then
+          failwith "a cycle edge was granted"
       done;
-      let sorted = List.sort_uniq Int.compare in
-      let facade_cycle = LP.find_deadlock p in
-      let oracle_cycle = LT.find_deadlock oracle in
-      (match (facade_cycle, oracle_cycle) with
-      | Some f, Some o ->
-          if sorted f <> List.init k (fun i -> i + 1) then
-            failwith "facade cycle is not the constructed one";
-          if sorted f <> sorted o then
-            failwith "facade and oracle found different cycles"
-      | _ -> failwith "a constructed cycle went unfound");
-      (* Youngest-victim abort, exactly like the server's breaker. *)
-      let victim = List.fold_left max min_int (Option.get facade_cycle) in
-      if victim <> k then failwith "youngest victim is not the max tx id";
-      ignore (LP.release_all p ~tx:victim : int list);
-      ignore (LT.release_all oracle ~tx:victim : int list);
-      LP.find_deadlock p = None && LT.find_deadlock oracle = None)
+      match LT.find_deadlock t with
+      | None -> failwith "a constructed cycle went unfound"
+      | Some cycle ->
+          if
+            List.length cycle <> k
+            || List.sort Int.compare cycle <> List.init k (fun i -> i + 1)
+          then failwith "the found cycle is not the constructed one";
+          (* Youngest-victim abort, exactly like the server's breaker. *)
+          let victim = List.fold_left max min_int cycle in
+          if victim <> k then failwith "youngest victim is not the max tx id";
+          ignore (LT.release_all t ~tx:victim : int list);
+          LT.find_deadlock t = None)
 
 let () =
   (* ORION_LOCKDEP=1: watch this suite's real lock traffic; install's
@@ -786,6 +567,8 @@ let () =
             test_release_drops_queue_entries;
           Alcotest.test_case "per-class block labels" `Quick
             test_per_class_block_labels;
+          Alcotest.test_case "reset_stats resets class labels" `Quick
+            test_reset_stats_resets_class_family;
         ] );
       ( "lock table regressions",
         [
@@ -795,6 +578,7 @@ let () =
           Alcotest.test_case "deadlock under re-polled convoy" `Quick
             test_deadlock_with_repolled_convoy;
           QCheck_alcotest.to_alcotest prop_lock_table_interleavings;
+          QCheck_alcotest.to_alcotest prop_k_cycles_found;
         ] );
       ( "protocols",
         [
@@ -803,18 +587,6 @@ let () =
           Alcotest.test_case "roots_of" `Quick test_roots_of;
           Alcotest.test_case "hierarchy scans" `Quick test_hierarchy_scan_locks;
           Alcotest.test_case "implicit coverage" `Quick test_implicit_coverage;
-        ] );
-      ( "partitions",
-        [
-          Alcotest.test_case "keying is deterministic" `Quick
-            test_partition_determinism;
-          Alcotest.test_case "cross-partition cycle found" `Quick
-            test_cross_partition_cycle_found;
-          Alcotest.test_case "single partition never merges" `Quick
-            test_single_partition_no_merged_search;
-          Alcotest.test_case "merged search stress 4x4 under lockdep" `Quick
-            test_merged_search_stress_4x4;
-          QCheck_alcotest.to_alcotest prop_cross_partition_cycles_found;
         ] );
       ( "properties",
         [

@@ -138,6 +138,7 @@ let all_server_msgs : Message.server_msg list =
     Reply (Repl_ok { lsn = 4157 });
     Reply (Error { code = Read_only; msg = "read-only replica" });
     Reply (Error { code = Repl_error; msg = "not a streaming primary" });
+    Reply (Error { code = Io_error; msg = "log crashed" });
     Push (Repl_frames { lsn = 0; data = Bytes.empty });
     Push (Repl_frames { lsn = 8411; data = Bytes.of_string "\x00\x01\xff raw" });
     Push (Repl_heartbeat { lsn = 24948 });

@@ -39,14 +39,6 @@ let test_domains =
   | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
   | None -> 1
 
-(* ORION_TEST_LOCK_PARTITIONS does the same for the partitioned lock
-   table (CI runs 1 and 4): 0, the default, leaves the config's auto
-   value (one partition per domain). *)
-let test_lock_partitions =
-  match Sys.getenv_opt "ORION_TEST_LOCK_PARTITIONS" with
-  | Some s -> ( try max 0 (int_of_string (String.trim s)) with _ -> 0)
-  | None -> 0
-
 (* Run [f addr] against a server serving a fresh env; the server is
    stopped and joined afterwards, and its database handed back for
    post-mortem assertions. *)
@@ -63,14 +55,8 @@ let with_server ?config ?wal ?env f =
   in
   let config =
     let c = Option.value config ~default:Server.default_config in
-    let c =
-      if c.Server.domains = Server.default_config.Server.domains then
-        { c with Server.domains = test_domains }
-      else c
-    in
-    if
-      c.Server.lock_partitions = Server.default_config.Server.lock_partitions
-    then { c with Server.lock_partitions = test_lock_partitions }
+    if c.Server.domains = Server.default_config.Server.domains then
+      { c with Server.domains = test_domains }
     else c
   in
   let server = Server.create ~config ?wal env (Server.Unix_path sock) in
@@ -1165,10 +1151,11 @@ let test_read_only_commit_skips_log () =
   in
   ()
 
-(* A log write that fails (disk full) fails its commit with an error
-   reply, and the log stays down: the next commit is refused too, the
-   server keeps serving, and only the acknowledged commit recovers —
-   on the direct path and through the group committer. *)
+(* A log write that fails (disk full) fails its commit with an
+   [Io_error] reply naming the failure, and the log stays down: the
+   next commit is refused too (as a crashed log), the server keeps
+   serving, and only the acknowledged commit recovers — on the direct
+   path and through the group committer. *)
 let io_error_refuses_commits ~window () =
   let dir = temp_dir () in
   let wal_path = Filename.concat dir "io.wal" in
@@ -1187,24 +1174,26 @@ let io_error_refuses_commits ~window () =
     Client.commit c;
     oid
   in
-  let refused c name =
+  let refused c name ~names =
     match make_part c name with
     | _ -> Alcotest.failf "commit of %s acknowledged over a failed log" name
-    | exception Client.Error (Message.Conflict, msg) ->
+    | exception Client.Error (Message.Io_error, msg) ->
         Alcotest.(check bool)
-          ("refusal names the commit: " ^ msg)
+          (Printf.sprintf "refusal %S names %S" msg names)
           true
-          (contains_substring msg "commit failed")
+          (contains_substring msg names
+          && not (contains_substring msg "Unix_error"))
   in
   let (), _, _ =
     with_server ~config ~wal ~env (fun addr _server ->
         let c = connect addr in
         let acked = make_part c "acked" in
         Wal.inject_fault wal (Some (`Io_error_after 0));
-        refused c "lost";
+        refused c "lost"
+          ~names:"log I/O error: No space left on device (write)";
         (* The disk has room again; the log must stay down regardless. *)
         Wal.inject_fault wal None;
-        refused c "after";
+        refused c "after" ~names:"log crashed";
         Client.ping c;
         Client.close c;
         let recovered, rstats = Recovery.replay (Wal.load_file wal_path) in

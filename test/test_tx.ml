@@ -7,21 +7,7 @@ module D = Orion_schema.Domain
 module Schema = Orion_schema.Schema
 module Protocol = Orion_locking.Protocol
 module Snapshot = Orion_tx.Snapshot
-(* ORION_TEST_LOCK_PARTITIONS=N runs the whole transaction suite over a
-   partitioned lock space (CI exercises 1 and 4); unset keeps the
-   single-table default. *)
-module Tx = struct
-  include Orion_tx.Tx_manager
-
-  let lock_partitions =
-    match Sys.getenv_opt "ORION_TEST_LOCK_PARTITIONS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> 1
-
-  let create ?compat ?escalation_threshold ?wal db =
-    Orion_tx.Tx_manager.create ?compat ?escalation_threshold ?wal
-      ~lock_partitions db
-end
+module Tx = Orion_tx.Tx_manager
 module Scheduler = Orion_tx.Scheduler
 module Part_gen = Orion_workload.Part_gen
 module Trace_gen = Orion_workload.Trace_gen
@@ -295,6 +281,35 @@ let test_deadlock_victim_abort_wakes_survivor () =
   Alcotest.(check bool) "cycle broken" true (Tx.find_deadlock manager = None);
   ignore (Tx.commit manager t1 : int list)
 
+(* The incremental detector: a search is due only once a request has
+   blocked since the last clean search; a found cycle stays due until
+   the search after the victim's abort comes back clean. *)
+let test_deadlock_check_due () =
+  let db = fixture () in
+  let a = Object_manager.create db ~cls:"Leaf" () in
+  let b = Object_manager.create db ~cls:"Leaf" () in
+  let manager = Tx.create db in
+  let due () = Tx.deadlock_check_due manager in
+  let t1 = Tx.begin_tx manager in
+  let t2 = Tx.begin_tx manager in
+  ignore (Tx.lock_instance manager t1 a Protocol.Update);
+  ignore (Tx.lock_instance manager t2 b Protocol.Update);
+  Alcotest.(check bool) "grants alone are not due" false (due ());
+  ignore (Tx.lock_instance manager t1 b Protocol.Update);
+  Alcotest.(check bool) "a block makes a search due" true (due ());
+  Alcotest.(check bool) "half a cycle is no cycle" true
+    (Tx.find_deadlock manager = None);
+  Alcotest.(check bool) "a clean search clears it" false (due ());
+  ignore (Tx.lock_instance manager t2 a Protocol.Update);
+  Alcotest.(check bool) "the closing edge is due" true (due ());
+  Alcotest.(check bool) "cycle found" true (Tx.find_deadlock manager <> None);
+  Alcotest.(check bool) "still due after a found cycle" true (due ());
+  ignore (Tx.abort manager t2 : int list);
+  Alcotest.(check bool) "clean after the victim's abort" true
+    (Tx.find_deadlock manager = None);
+  Alcotest.(check bool) "not due once searched clean" false (due ());
+  ignore (Tx.commit manager t1 : int list)
+
 let test_lock_escalation () =
   let db = fixture () in
   let leaves = List.init 10 (fun _ -> Object_manager.create db ~cls:"Leaf" ()) in
@@ -545,6 +560,8 @@ let () =
             test_double_abort_is_idempotent;
           Alcotest.test_case "deadlock victim abort wakes survivor" `Quick
             test_deadlock_victim_abort_wakes_survivor;
+          Alcotest.test_case "deadlock check due tracks blocks" `Quick
+            test_deadlock_check_due;
           Alcotest.test_case "lock escalation" `Quick test_lock_escalation;
           Alcotest.test_case "escalation counts distinct instances" `Quick
             test_escalation_counts_distinct_instances;
