@@ -760,17 +760,6 @@ let serve_cmd =
             "Log requests slower than $(docv) milliseconds to stderr, with a \
              per-phase breakdown (0, the default, disables it).")
   in
-  let domains =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"N"
-          ~doc:
-            "Shard the reactor across $(docv) domains (OS threads with \
-             parallel socket I/O and frame decoding); 1, the default, is \
-             the classic single-threaded reactor.  The transactional core \
-             (database, lock table, transaction bookkeeping) stays \
-             serialised under one service lock whatever the count.")
-  in
   let group_commit_window =
     Arg.(
       value & opt int 0
@@ -841,7 +830,7 @@ let serve_cmd =
              detectors offline.  Implies $(b,--lockdep).")
   in
   let run db_file wal socket port max_sessions lock_timeout metrics_interval
-      slow_op_ms domains group_commit_window repl replica_of
+      slow_op_ms group_commit_window repl replica_of
       ddl_gate lockdep lockdep_trace =
     if lockdep || Option.is_some lockdep_trace then
       Orion_analysis.Lockdep.install ?trace:lockdep_trace ();
@@ -861,7 +850,6 @@ let serve_cmd =
         lock_timeout = (if lock_timeout <= 0. then None else Some lock_timeout);
         metrics_interval =
           (if metrics_interval <= 0. then None else Some metrics_interval);
-        domains = (if domains < 1 then 1 else domains);
         group_commit_window =
           (if group_commit_window <= 0 then None
            else Some (float_of_int group_commit_window /. 1_000_000.));
@@ -1079,7 +1067,7 @@ let serve_cmd =
           replica ($(b,--replica-of))")
     Term.(
       const run $ db_pos $ wal_flag $ socket $ port $ max_sessions
-      $ lock_timeout $ metrics_interval $ slow_op_ms $ domains
+      $ lock_timeout $ metrics_interval $ slow_op_ms
       $ group_commit_window $ repl_flag $ replica_of
       $ ddl_gate $ lockdep $ lockdep_trace)
 
@@ -1324,7 +1312,7 @@ let () =
      not just serve's --lockdep flag. *)
   Orion_analysis.Lockdep.install_from_env ();
   let doc = "Composite objects a la ORION (Kim, Bertino & Garza, SIGMOD 1989)" in
-  let info = Cmd.info "orion" ~version:"1.11.0" ~doc in
+  let info = Cmd.info "orion" ~version:"1.12.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval

@@ -27,7 +27,19 @@ type t = {
   mutable classify : Oid.t -> string option;
 }
 
+let class_block_counter cls =
+  Obs.counter (Obs.labeled "lock.blocks" ("class", cls))
+
+(* A new table re-registers the unlabeled totals at zero, so it takes
+   over the labeled family too: every [lock.blocks{class=C}] a previous
+   table left in the registry becomes a fresh zero counter of this one,
+   which [reset_stats] reaches.  The family then never reads higher
+   than the total. *)
 let create ?(compat = Lock_mode.compat) () =
+  let class_blocks = Hashtbl.create 16 in
+  List.iter
+    (fun cls -> Hashtbl.replace class_blocks cls (class_block_counter cls))
+    (Obs.counter_labels "lock.blocks" ~key:"class");
   {
     compat;
     entries = Hashtbl.create 64;
@@ -35,7 +47,7 @@ let create ?(compat = Lock_mode.compat) () =
     blocks = Obs.counter "lock.blocks";
     wakeups = Obs.counter "lock.wakeups";
     upgrades = Obs.counter "lock.upgrades";
-    class_blocks = Hashtbl.create 16;
+    class_blocks;
     classify = (fun _ -> None);
   }
 
@@ -56,7 +68,7 @@ let count_class_block t granule =
         match Hashtbl.find_opt t.class_blocks cls with
         | Some c -> c
         | None ->
-            let c = Obs.counter (Obs.labeled "lock.blocks" ("class", cls)) in
+            let c = class_block_counter cls in
             Hashtbl.replace t.class_blocks cls c;
             c
       in

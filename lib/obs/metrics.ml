@@ -33,13 +33,15 @@ let create_registry () : registry =
 
 let default = create_registry ()
 
-(* The registry table itself is shared across domains (shards register
-   and snapshot concurrently), so structural mutations and iteration
-   take the registry mutex.  Instrument *updates* stay lock-free:
-   racing increments can at worst lose a count, never crash.  The
-   mutex is ranked (obs.registry): snapshot holds it while calling
-   gauge closures, which read the tailer and the WAL, so those classes
-   rank strictly above it. *)
+(* The registry table itself is shared across threads (the reactor,
+   the group committer, a replica's applier and client threads in tests
+   register and snapshot concurrently), so structural mutations and
+   iteration take the registry mutex.  Instrument *updates* stay
+   lock-free: every thread runs on the one domain, and an increment
+   has no allocation or poll point between its read and its write, so
+   no thread switch can split it.  The mutex is ranked (obs.registry):
+   snapshot holds it while calling gauge closures, which read the
+   tailer and the WAL, so those classes rank strictly above it. *)
 let with_registry registry f = Omutex.with_lock registry.mu f
 
 let register ?(registry = default) name instrument =
@@ -136,7 +138,7 @@ let summarize (h : histogram) =
     buckets;
   }
 
-(* Merging summaries from different servers/shards: bucket counts add
+(* Merging summaries from different servers: bucket counts add
    pointwise, and the quantiles are recomputed from the merged buckets —
    the whole reason the raw buckets ride along on the wire (averaging
    percentiles is wrong). *)
@@ -220,6 +222,18 @@ let label_value name ~base ~key =
      && name.[nlen - 1] = '}'
   then Some (String.sub name plen (nlen - plen - 1))
   else None
+
+let counter_labels ?(registry = default) base ~key =
+  with_registry registry (fun () ->
+      Hashtbl.fold
+        (fun name instrument acc ->
+          match instrument with
+          | Counter _ -> (
+              match label_value name ~base ~key with
+              | Some v -> v :: acc
+              | None -> acc)
+          | Gauge _ | Histogram _ -> acc)
+        registry.tbl [])
 
 (* Rates ------------------------------------------------------------------------ *)
 
@@ -317,7 +331,7 @@ module Span = struct
 
   (* The enclosing spans of the operation in flight, innermost first.
      One stack per domain: nested spans must run on one thread, which
-     holds in each shard's reactor loop where all spans are taken. *)
+     holds in the reactor loop where all spans are taken. *)
   let stack_key : span list ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref [])
 

@@ -16,15 +16,17 @@
     created instance, which in a server process is the one serving
     traffic.
 
-    Thread-safety: counter and histogram updates are single word/field
-    writes — racing updates from client threads or shard domains can at
-    worst lose an increment, never crash.  Registry {e structure} —
+    Thread-safety: counter and histogram updates are plain field
+    writes.  The server runs all of its threads — the reactor, the
+    group committer, a replica's applier — on one domain, and an
+    increment has no allocation or poll point between its read and its
+    write, so no thread switch can split it.  Registry {e structure} —
     registering an instrument, iterating at snapshot/reset time — is
-    guarded by a per-registry mutex, so shard domains can create
+    guarded by a per-registry mutex, so any thread can create
     instruments and serve [Stats] concurrently.  The {e span stack}
     (used for the slow-op breakdown) is domain-local and assumes the
     nested spans of one operation run on one thread, which holds in
-    each shard's single-threaded reactor loop where spans are taken. *)
+    the single-threaded reactor loop where spans are taken. *)
 
 type registry
 
@@ -74,7 +76,7 @@ type histogram_summary = {
   buckets : int array;
       (** raw per-bucket counts, one per {!bucket_bounds} entry plus a
           final overflow cell — shipped so summaries from different
-          servers/shards can be {!merge_summaries}'d without the
+          servers can be {!merge_summaries}'d without the
           percentile-averaging fallacy *)
 }
 
@@ -120,6 +122,10 @@ val label_value : string -> base:string -> key:string -> string option
 (** [label_value "lock.blocks{class=Widget}" ~base:"lock.blocks"
     ~key:"class"] is [Some "Widget"]; [None] when the name is not a
     labeled instance of [base]. *)
+
+val counter_labels : ?registry:registry -> string -> key:string -> string list
+(** The label values of every counter registered as [base{key=V}], in
+    no particular order. *)
 
 (** {1 Rates}
 

@@ -327,7 +327,7 @@ let write_summary w (h : Orion_obs.Metrics.histogram_summary) =
   W.float w h.p95;
   W.float w h.p99;
   (* Raw bucket counts ride along so a client can merge percentiles
-     across servers/shards instead of averaging them. *)
+     across servers instead of averaging them. *)
   write_list w W.int (Array.to_list h.buckets)
 
 let read_summary r : Orion_obs.Metrics.histogram_summary =

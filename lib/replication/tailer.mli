@@ -11,8 +11,9 @@
     [repl.lag_bytes{replica=N}] cells) and the ack-RTT histogram
     ([repl.ack_seconds]).
 
-    Thread-safety: all operations take an internal mutex, so shard
-    domains serving different replica sessions can share one tailer. *)
+    Thread-safety: all operations take an internal mutex, so a metrics
+    snapshot on any thread can read the lag gauges while the reactor
+    pumps subscribers. *)
 
 type t
 
@@ -42,6 +43,6 @@ val pump : ?max_bytes:int -> t -> int -> pumped
 (** One scheduling quantum for subscriber [id]: the next batch of
     durable frames if any (default budget 1 MiB, always at least one
     frame), else a heartbeat when one is due.  Unknown subscribers
-    pump [Idle].  Called from the owning session's shard tick. *)
+    pump [Idle].  Called from the reactor tick. *)
 
 val replica_count : t -> int

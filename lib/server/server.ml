@@ -1,9 +1,6 @@
-(* The network server, as of the multicore refactor a thin supervisor:
-   it binds the listener, builds the shared transactional service and
-   the shard reactors, and runs them — on one domain the single shard
-   owns the listener and this module just delegates; on several, each
-   shard runs on its own domain and the supervisor keeps the acceptor
-   loop, dealing connections out to shards by session id. *)
+(* The network server: binds the listener, builds the transactional
+   service and the reactor that owns the listener, and runs the reactor
+   on the calling thread beside the group-committer thread. *)
 
 module Obs = Orion_obs.Metrics
 
@@ -18,7 +15,6 @@ type config = Shard.config = {
   idle_timeout : float option;
   lock_timeout : float option;
   metrics_interval : float option;
-  domains : int;
   group_commit_window : float option;
 }
 
@@ -35,15 +31,7 @@ type stats = {
   idle_closes : int;
 }
 
-type t = {
-  config : config;
-  svc : Tx_service.t;
-  shards : Shard.t array;
-  listen_fd : Unix.file_descr;
-  bound : addr;
-  stop_r : Unix.file_descr;
-  stop_w : Unix.file_descr;
-}
+type t = { svc : Tx_service.t; shard : Shard.t }
 
 let listen_on addr =
   match addr with
@@ -79,39 +67,17 @@ let listen_on addr =
       Unix.listen fd 64;
       (fd, Unix_path path)
 
-let session_count t =
-  Array.fold_left (fun n sh -> n + Shard.session_count sh) 0 t.shards
-
-let parked_count t =
-  Array.fold_left (fun n sh -> n + Shard.parked_count sh) 0 t.shards
+let session_count t = Shard.session_count t.shard
 
 let create ?(config = default_config) ?wal ?repl env addr =
-  let config = { config with domains = max 1 config.domains } in
-  let listen_fd, bound = listen_on addr in
-  let stop_r, stop_w = Unix.pipe () in
-  Unix.set_nonblock stop_r;
+  let listen, bound = listen_on addr in
   let svc =
     Tx_service.create ?wal ?group_commit_window:config.group_commit_window ?repl
       env
   in
-  let shards =
-    Array.init config.domains (fun idx ->
-        (* With one domain the shard owns the listener (no acceptor
-           handoff, no extra wakeups: the classic single-threaded
-           reactor, byte-for-byte).  With several, the supervisor's
-           acceptor keeps it. *)
-        if config.domains = 1 then
-          Shard.create ~idx ~config ~svc ~listen:listen_fd ~owned_addr:bound ()
-        else Shard.create ~idx ~config ~svc ())
-  in
-  Tx_service.set_posters svc (Array.map Shard.enqueue shards);
-  let total () =
-    Array.fold_left (fun n sh -> n + Shard.session_count sh) 0 shards
-  in
-  Array.iter (fun sh -> Shard.set_total_sessions sh total) shards;
-  Obs.gauge "server.sessions" total;
-  Obs.gauge "server.parked" (fun () ->
-      Array.fold_left (fun n sh -> n + Shard.parked_count sh) 0 shards);
+  let shard = Shard.create ~config ~svc ~listen ~addr:bound in
+  Obs.gauge "server.sessions" (fun () -> Shard.session_count shard);
+  Obs.gauge "server.parked" (fun () -> Shard.parked_count shard);
   (* No log attached: register zeroed WAL counters so the wire snapshot
      always covers the WAL subsystem (matching Database.stats, which
      reports zeros without a source). *)
@@ -134,9 +100,9 @@ let create ?(config = default_config) ?wal ?repl env addr =
       ];
     ignore (Obs.histogram "wal.group_commit.batch_size" : Obs.histogram)
   end;
-  { config; svc; shards; listen_fd; bound; stop_r; stop_w }
+  { svc; shard }
 
-let address t = t.bound
+let address t = t.shard.Shard.addr
 let service t = t.svc
 
 let role t =
@@ -152,100 +118,23 @@ let stats t =
     rejected = Obs.counter_value svc.Tx_service.rejected;
     requests = Obs.counter_value svc.Tx_service.requests;
     parks_total = Obs.counter_value svc.Tx_service.parks;
-    parked = parked_count t;
+    parked = Shard.parked_count t.shard;
     deadlock_victims = Obs.counter_value svc.Tx_service.deadlock_victims;
     lock_timeouts = Obs.counter_value svc.Tx_service.lock_timeouts;
     idle_closes = Obs.counter_value svc.Tx_service.idle_closes;
   }
 
-(* [stop]/[kill] only write pipe bytes (to the acceptor and to every
-   shard's wake pipe), so both are safe to call from a signal handler —
-   and from any domain. *)
+(* [stop]/[kill] only write a byte to the reactor's wake pipe, so both
+   are safe to call from a signal handler or another thread. *)
 
-let signal t byte =
-  try ignore (Unix.write t.stop_w (Bytes.make 1 byte) 0 1 : int)
-  with Unix.Unix_error _ -> ()
-
-let stop t =
-  signal t 'G';
-  Array.iter Shard.request_stop t.shards
-
-let kill t =
-  signal t 'K';
-  Array.iter Shard.request_kill t.shards
-
-(* The acceptor loop (domains > 1): accept, pick the shard by session
-   id, hand the connection over.  Admission control runs here against
-   the shard-count sum; the target shard is charged at accept time so a
-   burst cannot over-admit through the handoff window. *)
-
-let accept_one t =
-  match Unix.accept t.listen_fd with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-    -> ()
-  | fd, _peer ->
-      Unix.set_nonblock fd;
-      if session_count t >= t.config.max_sessions then
-        Shard.refuse_full fd ~max_sessions:t.config.max_sessions
-          ~rejected:t.svc.Tx_service.rejected
-      else begin
-        Obs.incr t.svc.Tx_service.accepted;
-        let sid = Tx_service.fresh_sid t.svc in
-        let shard = t.shards.(sid mod Array.length t.shards) in
-        Shard.note_incoming shard;
-        Shard.enqueue shard (Tx_service.New_session { sid; fd })
-      end
-
-let acceptor_loop t =
-  let killed = ref false in
-  let finished = ref false in
-  let b = Bytes.create 16 in
-  while not !finished do
-    match Unix.select [ t.stop_r; t.listen_fd ] [] [] 0.5 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | readable, _, _ ->
-        if List.mem t.stop_r readable then begin
-          let rec drain () =
-            match Unix.read t.stop_r b 0 16 with
-            | exception
-                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-              -> ()
-            | 0 -> ()
-            | n ->
-                for i = 0 to n - 1 do
-                  if Bytes.get b i = 'K' then killed := true
-                done;
-                drain ()
-          in
-          drain ();
-          finished := true
-        end;
-        if (not !finished) && List.mem t.listen_fd readable then accept_one t
-  done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (* A graceful exit leaves no stale socket file; a [kill] does, like a
-     real crash would. *)
-  if not !killed then
-    match t.bound with
-    | Unix_path path -> ( try Sys.remove path with Sys_error _ -> ())
-    | Tcp _ -> ()
+let stop t = Shard.request_stop t.shard
+let kill t = Shard.request_kill t.shard
 
 let run t =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  if Array.length t.shards = 1 then Shard.run t.shards.(0)
-  else begin
-    let domains =
-      Array.map (fun sh -> Domain.spawn (fun () -> Shard.run sh)) t.shards
-    in
-    (* The shards got their stop/kill bytes directly; the acceptor loop
-       returns when it sees its own. *)
-    acceptor_loop t;
-    Array.iter Domain.join domains
-  end;
-  (* Reactors are quiet: settle the group committer.  A graceful stop
+  Shard.run t.shard;
+  (* The reactor is quiet: settle the group committer.  A graceful stop
      flushes any still-pending batch (their sessions are gone, but
      submitted commits are past the point of no return and must reach
      the log); a kill abandons it, like the crash it simulates. *)
-  Tx_service.shutdown_committer
-    ~killed:(Array.exists Shard.killed t.shards)
-    t.svc
+  Tx_service.shutdown_committer ~killed:(Shard.killed t.shard) t.svc

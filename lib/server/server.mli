@@ -1,24 +1,23 @@
-(** The network server: a domain-sharded reactor serving many clients
-    over one database.
+(** The network server: one reactor serving many clients over one
+    database.
 
-    Sessions are dealt out to [domains] {e shards} (by session id); each
-    shard is a classic single-threaded reactor — it multiplexes its
-    connections with [Unix.select], owns its session table, and never
-    blocks a thread on a database lock.  Socket I/O and frame decoding
-    are fully parallel across shards; the transactional core (database,
-    lock table, transaction bookkeeping) is serialized under one service
-    mutex, taken once per shard tick around the whole dispatch batch
-    ([txsvc.*] instruments measure what it costs).  With [domains = 1]
-    everything collapses to the original single-threaded reactor,
-    byte-for-byte on the wire.
+    The reactor is a single-threaded select loop: it owns the listener
+    and the session table, multiplexes every connection with
+    [Unix.select], and never blocks a thread on a database lock.  The
+    transactional core (database, lock table, transaction bookkeeping)
+    sits behind one service mutex, taken once per tick around the whole
+    dispatch batch ([txsvc.*] instruments measure what it costs).
+    Besides the reactor, two threads run: the group committer (below)
+    and, on a replica, the applier that mirrors the primary's log.  A
+    primary's log tailer has no thread of its own; the reactor pumps it
+    for each subscribed replica.
 
     Each connection is a {e session} holding at most one open
     {!Orion_tx.Tx_manager} transaction.  A lock request that comes back
     [`Blocked] {e parks} the session — the request is left queued in the
     lock table, no reply is sent, and the reactor moves on.  When
-    another session's commit or abort unblocks the transaction, its home
-    shard re-polls the parked request and answers [Granted] (cross-shard
-    wakeups travel over shard inboxes).  Deadlock cycles are broken by
+    another session's commit or abort unblocks the transaction, the
+    reactor re-polls the parked request and answers [Granted].  Deadlock cycles are broken by
     aborting the youngest transaction in the cycle; the victim's session
     is told with a [Deadlock_victim] push (plus a [Conflict] error reply
     if it was parked) and can retry.
@@ -30,12 +29,13 @@
     all-or-none on replay, so a crash mid-batch aborts the whole batch
     (see {!Orion_wal.Group_commit}).  Locks stay held across the batch
     sync (strict 2PL); the client's commit reply is sent only after the
-    sync, so an acknowledged commit is always durable.
+    sync, so an acknowledged commit is always durable.  The committer
+    thread hands each verdict back through the reactor's inbox.
 
     Admission control: at most [max_sessions] concurrent sessions
-    across all shards (excess connections are refused with
+    (excess connections are refused with
     [Too_many_sessions]); at most [queue_limit] decoded-but-unprocessed
-    requests per session, after which the shard stops reading the
+    requests per session, after which the reactor stops reading the
     socket (TCP backpressure).  A session parked longer than
     [lock_timeout] has its transaction aborted and gets a [Timeout]
     error; a session idle longer than [idle_timeout] is closed.
@@ -59,16 +59,13 @@ val parse_addr : string -> addr
     @raise Invalid_argument on none of those. *)
 
 type config = Shard.config = {
-  max_sessions : int;  (** admission bound, across all shards (default 64) *)
+  max_sessions : int;  (** admission bound (default 64) *)
   queue_limit : int;  (** per-session pending-request bound (default 16) *)
   idle_timeout : float option;  (** seconds; [None] = never (default) *)
   lock_timeout : float option;  (** max lock wait (default [Some 30.]) *)
   metrics_interval : float option;
       (** emit a one-line metrics digest to stderr this often;
           [None] = never (default) *)
-  domains : int;
-      (** reactor shards, each on its own domain (default 1; values
-          < 1 are clamped to 1) *)
   group_commit_window : float option;
       (** group-commit batching window in seconds; [None] or [0.]
           syncs every commit inline (default [None]).  Only effective
@@ -99,15 +96,13 @@ val address : t -> addr
 (** The bound address — with [Tcp (host, 0)] the actual port. *)
 
 val run : t -> unit
-(** Run the reactor shards; returns after {!stop} or {!kill}, once
-    every shard has exited and the group committer (if any) has been
-    settled.  With [domains = 1] the reactor runs on the calling
-    domain; otherwise each shard gets its own domain and the caller
-    runs the acceptor loop.  Sets [SIGPIPE] to ignore. *)
+(** Run the reactor on the calling thread; returns after {!stop} or
+    {!kill}, once the reactor has exited and the group committer (if
+    any) has been settled.  Sets [SIGPIPE] to ignore. *)
 
 val stop : t -> unit
 (** Begin graceful shutdown.  Callable from a signal handler or
-    another thread/domain (it only writes to self-pipes). *)
+    another thread (it only writes to the reactor's wake pipe). *)
 
 val kill : t -> unit
 (** Make {!run} return as soon as possible without draining — the

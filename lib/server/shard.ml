@@ -1,9 +1,10 @@
-(* One shard of the reactor: its own select loop, session table, parked
-   transactions and read buffer, all domain-local.  Anything touching
-   the shared transactional core (database, lock table, tx ownership)
+(* The reactor: one select loop that owns the listener, the session
+   table, the parked transactions and the read buffer.  Anything
+   touching the transactional core (database, lock table, tx ownership)
    runs under the service lock, taken once per tick around the whole
-   dispatch batch.  Cross-shard effects travel as [Tx_service.peer_msg]
-   through the inbox + wake pipe. *)
+   dispatch batch.  The group committer's verdicts arrive as
+   [Tx_service.peer_msg] through the inbox + wake pipe; signal handlers
+   stop the reactor through the wake pipe alone. *)
 
 module Eval = Orion_dsl.Eval
 module Tx = Orion_tx.Tx_manager
@@ -24,7 +25,6 @@ type config = {
   idle_timeout : float option;
   lock_timeout : float option;
   metrics_interval : float option;
-  domains : int;
   group_commit_window : float option;
 }
 
@@ -35,7 +35,6 @@ let default_config =
     idle_timeout = None;
     lock_timeout = Some 30.;
     metrics_interval = None;
-    domains = 1;
     group_commit_window = None;
   }
 
@@ -71,62 +70,46 @@ type session = {
 type phase = Running | Draining of float (* deadline *) | Killed
 
 type t = {
-  idx : int;
   config : config;
   svc : Tx_service.t;
-  listen : Unix.file_descr option;
-      (* with one domain the shard owns the listener; with several the
-         supervisor's acceptor loop owns it and hands sessions over *)
-  owned_addr : addr option;  (* bound address, when the listener is ours *)
+  listen : Unix.file_descr;  (* open while [phase = Running] *)
+  addr : addr;  (* bound address *)
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   inbox_mu : Omutex.t;
   inbox : Tx_service.peer_msg Queue.t;
   sessions : (int, session) Hashtbl.t;
-  n_sessions : int Atomic.t;  (* shared with acceptor + stats readers *)
-  n_parked : int Atomic.t;
+  mutable next_sid : int;
+  mutable n_parked : int;  (* refreshed every tick, for stats readers *)
   read_buf : Bytes.t;
-  mutable total_sessions : unit -> int;  (* across shards, for admission *)
   mutable phase : phase;
   mutable drain_pending : bool;
   mutable was_killed : bool;
 }
 
-let create ~idx ~config ~svc ?listen ?owned_addr () =
+let create ~config ~svc ~listen ~addr =
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
-  let t =
-    {
-      idx;
-      config;
-      svc;
-      listen;
-      owned_addr;
-      wake_r;
-      wake_w;
-      inbox_mu = Omutex.create ~inst:idx Omutex.shard_inbox;
-      inbox = Queue.create ();
-      sessions = Hashtbl.create 32;
-      n_sessions = Atomic.make 0;
-      n_parked = Atomic.make 0;
-      read_buf = Bytes.create 65536;
-      total_sessions = (fun () -> 0);
-      phase = Running;
-      drain_pending = false;
-      was_killed = false;
-    }
-  in
-  t.total_sessions <- (fun () -> Atomic.get t.n_sessions);
-  t
+  {
+    config;
+    svc;
+    listen;
+    addr;
+    wake_r;
+    wake_w;
+    inbox_mu = Omutex.create Omutex.shard_inbox;
+    inbox = Queue.create ();
+    sessions = Hashtbl.create 32;
+    next_sid = 0;
+    n_parked = 0;
+    read_buf = Bytes.create 65536;
+    phase = Running;
+    drain_pending = false;
+    was_killed = false;
+  }
 
-let set_total_sessions t f = t.total_sessions <- f
-let session_count t = Atomic.get t.n_sessions
-
-(* The acceptor counts a connection against its target shard at accept
-   time, before the [New_session] handoff lands, so admission control
-   never over-admits past [max_sessions] on a slow shard. *)
-let note_incoming t = Atomic.incr t.n_sessions
-let parked_count t = Atomic.get t.n_parked
+let session_count t = Hashtbl.length t.sessions
+let parked_count t = t.n_parked
 let killed t = t.was_killed
 
 let wake t byte =
@@ -231,10 +214,7 @@ let observe_wait t session =
    lock held (the per-tick dispatch batch). *)
 
 let rec destroy t session =
-  if Hashtbl.mem t.sessions session.sid then begin
-    Hashtbl.remove t.sessions session.sid;
-    Atomic.decr t.n_sessions
-  end;
+  Hashtbl.remove t.sessions session.sid;
   (match session.repl_sub with
   | Some id ->
       session.repl_sub <- None;
@@ -259,31 +239,13 @@ let rec destroy t session =
   (try Unix.close session.fd with Unix.Unix_error _ -> ())
 
 (* Wake every parked session whose transaction the lock table just
-   unblocked.  Transactions owned by this shard are re-polled inline; a
-   [Resume] message carries the rest to their home shards. *)
-and resume t tx_ids =
-  let foreign : (int, int list) Hashtbl.t = Hashtbl.create 4 in
-  let mine =
-    List.filter_map
-      (fun tx_id ->
-        match Tx_service.owner t.svc ~tx_id with
-        | None -> None
-        | Some (shard, _) when shard = t.idx -> Some tx_id
-        | Some (shard, _) ->
-            Hashtbl.replace foreign shard
-              (tx_id :: Option.value (Hashtbl.find_opt foreign shard) ~default:[]);
-            None)
-      tx_ids
-  in
-  Hashtbl.iter
-    (fun shard ids -> Tx_service.post t.svc ~shard (Tx_service.Resume ids))
-    foreign;
-  List.iter (resume_one t) mine
+   unblocked: re-poll its parked request. *)
+and resume t tx_ids = List.iter (resume_one t) tx_ids
 
 and resume_one t tx_id =
   match Tx_service.owner t.svc ~tx_id with
   | None -> ()
-  | Some (_, sid) -> (
+  | Some sid -> (
       match Hashtbl.find_opt t.sessions sid with
       | None -> ()
       | Some session -> (
@@ -438,19 +400,6 @@ and handle t session req =
     | Eval.Str s -> Message.Str s
     | Eval.Unit -> Message.Unit
   in
-  (* Another shard's deadlock breaker may have aborted our transaction
-     between ticks (the [Victim] message can still be in flight): the
-     handle in [session.tx] is then already finished.  Detect it here
-     so no branch below operates on a dead transaction. *)
-  (match session.tx with
-  | Some tx
-    when (match Tx.state tx with
-         | Tx.Committed | Tx.Aborted -> true
-         | Tx.Active | Tx.Blocked | Tx.Committing -> false) ->
-      session.tx <- None;
-      if session.deadlock_note = None then
-        session.deadlock_note <- Some "transaction aborted as deadlock victim"
-  | _ -> ());
   (* A session whose transaction was sacrificed to a deadlock while it
      was between requests learns about it on its next transactional
      request. *)
@@ -541,7 +490,7 @@ and handle t session req =
           let tx = Tx.begin_tx manager in
           session.tx <- Some tx;
           session.deadlock_note <- None;
-          Tx_service.claim svc ~tx_id:(Tx.tx_id tx) ~shard:t.idx ~sid:session.sid;
+          Tx_service.claim svc ~tx_id:(Tx.tx_id tx) ~sid:session.sid;
           reply session (Message.Result (Message.Num (Tx.tx_id tx))))
   | Message.Commit -> (
       match session.tx with
@@ -559,12 +508,11 @@ and handle t session req =
               session.tx <- None;
               session.committing <- Some tx;
               let eager = Tx_service.submit_is_eager svc in
-              let sid = session.sid and shard = t.idx in
+              let sid = session.sid in
               Orion_wal.Group_commit.submit gc ~tx:(Tx.tx_id tx) ~records
                 ~next_oid ~clock ~cc ~eager
                 ~notify:(fun ~ok ~err ->
-                  Tx_service.post svc ~shard
-                    (Tx_service.Commit_done { sid; tx; ok; err }))
+                  enqueue t (Tx_service.Commit_done { sid; tx; ok; err }))
           | _ -> (
               (* Direct commit; a read-only transaction always lands
                  here — its commit is lock release, nothing to batch. *)
@@ -744,9 +692,9 @@ and handle t session req =
           reply session (Message.Result Message.Unit)
       | Error msg -> error session Message.Repl_error msg)
 
-(* Cross-shard messages --------------------------------------------------------- *)
+(* Group-commit verdicts ------------------------------------------------------- *)
 
-let handle_commit_done t ~sid ~tx ~ok ~err =
+let process_msg t (Tx_service.Commit_done { sid; tx; ok; err }) =
   let svc = t.svc in
   Tx_service.disown svc ~tx_id:(Tx.tx_id tx);
   let unblocked =
@@ -770,67 +718,6 @@ let handle_commit_done t ~sid ~tx ~ok ~err =
       (* The session died while its commit was in flight; the
          transaction still had to be finished (its locks freed). *)
       resume t unblocked)
-
-let handle_victim t ~sid ~tx_id ~msg =
-  match Hashtbl.find_opt t.sessions sid with
-  | None -> ()
-  | Some session -> (
-      match session.tx with
-      | Some tx when Tx.tx_id tx = tx_id ->
-          session.tx <- None;
-          push session (Message.Deadlock_victim { tx = tx_id; msg });
-          (if session.parked_req <> None then begin
-             (* The parked lock request dies with the transaction:
-                answer it with the conflict. *)
-             observe_wait t session;
-             session.parked_req <- None;
-             error session Message.Conflict msg
-           end
-           else session.deadlock_note <- Some msg);
-          pump t session
-      | Some _ | None ->
-          (* The session noticed the foreign abort on its own (the
-             guard in [handle]) or has already moved on; refresh the
-             placeholder note with the real cycle report. *)
-          if session.deadlock_note <> None then begin
-            session.deadlock_note <- Some msg;
-            push session (Message.Deadlock_victim { tx = tx_id; msg })
-          end)
-
-let add_session t ~sid ~fd =
-  if t.phase <> Running then begin
-    (* A stop raced the acceptor's handoff: refuse like a drain would. *)
-    Atomic.decr t.n_sessions;
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-  end
-  else
-    Hashtbl.replace t.sessions sid
-      {
-        sid;
-        fd;
-        splitter = Frame.Splitter.create ();
-        queue = Queue.create ();
-        out = Queue.create ();
-        out_off = 0;
-        greeted = false;
-        tx = None;
-        snap = None;
-        committing = None;
-        parked_req = None;
-        parked_since = 0.;
-        deadlock_note = None;
-        last_activity = Unix.gettimeofday ();
-        closing = false;
-        repl_sub = None;
-      }
-
-let process_msg t (msg : Tx_service.peer_msg) =
-  match msg with
-  | Tx_service.New_session { sid; fd } -> add_session t ~sid ~fd
-  | Tx_service.Resume ids -> resume t ids
-  | Tx_service.Victim { sid; tx_id; msg } -> handle_victim t ~sid ~tx_id ~msg
-  | Tx_service.Commit_done { sid; tx; ok; err } ->
-      handle_commit_done t ~sid ~tx ~ok ~err
 
 (* Deadlock resolution --------------------------------------------------------- *)
 
@@ -863,16 +750,7 @@ let break_deadlocks t =
         in
         (match Tx_service.owner svc ~tx_id:victim with
         | None -> abort_orphan ()
-        | Some (shard, sid) when shard <> t.idx ->
-            (* The victim lives on another shard.  Abort it here — the
-               lock table frees its waiters immediately, under this
-               same lock hold — and send the bad news home.  [Victim]
-               is posted before any [Resume] so the owner shard always
-               clears the session before re-polling anything. *)
-            Tx_service.disown svc ~tx_id:victim;
-            Tx_service.post svc ~shard (Tx_service.Victim { sid; tx_id = victim; msg });
-            resume t (Tx.abort_id manager victim)
-        | Some (_, sid) -> (
+        | Some sid -> (
             match Hashtbl.find_opt t.sessions sid with
             | None -> abort_orphan ()
             | Some session ->
@@ -941,10 +819,10 @@ let enforce_timeouts t now =
           session.closing <- true)
     !expired
 
-(* Accept (single-domain mode: the shard owns the listener) ---------------------- *)
+(* Accept ---------------------------------------------------------------------- *)
 
-let refuse_full fd ~max_sessions ~rejected =
-  Obs.incr rejected;
+let refuse_full t fd =
+  Obs.incr t.svc.Tx_service.rejected;
   (* Best effort: tell the client why before closing. *)
   let frame =
     Frame.encode
@@ -953,27 +831,46 @@ let refuse_full fd ~max_sessions ~rejected =
             (Message.Error
                {
                  code = Message.Too_many_sessions;
-                 msg = Printf.sprintf "server full (%d sessions)" max_sessions;
+                 msg =
+                   Printf.sprintf "server full (%d sessions)"
+                     t.config.max_sessions;
                })))
   in
   (try ignore (Unix.write fd frame 0 (Bytes.length frame) : int)
    with Unix.Unix_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
-let accept t listen_fd =
-  match Unix.accept listen_fd with
+let accept t =
+  match Unix.accept t.listen with
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     -> ()
   | fd, _peer ->
       Unix.set_nonblock fd;
-      if t.total_sessions () >= t.config.max_sessions then
-        refuse_full fd ~max_sessions:t.config.max_sessions
-          ~rejected:t.svc.Tx_service.rejected
+      if Hashtbl.length t.sessions >= t.config.max_sessions then
+        refuse_full t fd
       else begin
         Obs.incr t.svc.Tx_service.accepted;
-        let sid = Tx_service.fresh_sid t.svc in
-        Atomic.incr t.n_sessions;
-        add_session t ~sid ~fd
+        let sid = t.next_sid in
+        t.next_sid <- sid + 1;
+        Hashtbl.replace t.sessions sid
+          {
+            sid;
+            fd;
+            splitter = Frame.Splitter.create ();
+            queue = Queue.create ();
+            out = Queue.create ();
+            out_off = 0;
+            greeted = false;
+            tx = None;
+            snap = None;
+            committing = None;
+            parked_req = None;
+            parked_since = 0.;
+            deadlock_note = None;
+            last_activity = Unix.gettimeofday ();
+            closing = false;
+            repl_sub = None;
+          }
       end
 
 (* Inbound --------------------------------------------------------------------- *)
@@ -1009,15 +906,12 @@ let drain_grace = 5.0
 let begin_drain t =
   if t.phase = Running then begin
     t.phase <- Draining (Unix.gettimeofday () +. drain_grace);
-    (match t.listen with
-    | Some fd -> (
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        (* A graceful exit leaves no stale socket file; a [kill] does,
-           like a real crash would. *)
-        match t.owned_addr with
-        | Some (Unix_path path) -> ( try Sys.remove path with Sys_error _ -> ())
-        | Some (Tcp _) | None -> ())
-    | None -> ());
+    (try Unix.close t.listen with Unix.Unix_error _ -> ());
+    (* A graceful exit leaves no stale socket file; a [kill] does, like a
+       real crash would. *)
+    (match t.addr with
+    | Unix_path path -> ( try Sys.remove path with Sys_error _ -> ())
+    | Tcp _ -> ());
     Hashtbl.iter
       (fun _ session ->
         push session (Message.Goodbye { msg = "server shutting down" });
@@ -1043,6 +937,8 @@ let drain_wake t =
         for i = 0 to n - 1 do
           match Bytes.get b i with
           | 'K' ->
+              if t.phase = Running then
+                (try Unix.close t.listen with Unix.Unix_error _ -> ());
               t.phase <- Killed;
               t.was_killed <- true
           | 'G' -> t.drain_pending <- true
@@ -1065,7 +961,7 @@ let run t =
   while not !finished do
     let now = Unix.gettimeofday () in
     (match t.config.metrics_interval with
-    | Some interval when t.idx = 0 && now >= !next_metrics ->
+    | Some interval when now >= !next_metrics ->
         prerr_endline ("orion metrics: " ^ Obs.one_line (Obs.snapshot ()));
         next_metrics := now +. interval
     | _ -> ());
@@ -1099,18 +995,12 @@ let run t =
         Hashtbl.iter (fun _ s -> try Unix.close s.fd with Unix.Unix_error _ -> ())
           t.sessions;
         Hashtbl.reset t.sessions;
-        Atomic.set t.n_sessions 0;
-        (match t.listen with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ());
         finished := true
     | Running | Draining _ -> ());
     if not !finished then begin
       let reads =
         t.wake_r
-        :: (match t.listen with
-           | Some fd when t.phase = Running -> [ fd ]
-           | _ -> [])
+        :: (if t.phase = Running then [ t.listen ] else [])
         @ Hashtbl.fold
             (fun _ s acc ->
               (* Backpressure: a full request queue or a closing session
@@ -1134,10 +1024,7 @@ let run t =
           if List.mem t.wake_r readable then drain_wake t;
           let msgs = take_inbox t in
           if t.phase <> Killed then begin
-            (match t.listen with
-            | Some lfd when t.phase = Running && List.mem lfd readable ->
-                accept t lfd
-            | _ -> ());
+            if t.phase = Running && List.mem t.listen readable then accept t;
             let session_of fd =
               Hashtbl.fold
                 (fun _ s acc -> if s.fd = fd then Some s else acc)
@@ -1148,7 +1035,7 @@ let run t =
             let fed =
               List.filter_map
                 (fun fd ->
-                  if fd = t.wake_r || Some fd = t.listen then None
+                  if fd = t.wake_r || fd = t.listen then None
                   else
                     match session_of fd with
                     | Some session ->
@@ -1162,7 +1049,7 @@ let run t =
                wait-for edge ([deadlock_check_due] reads the manager's
                generation lock-free), a timeout that could have
                expired, or a catalog change awaiting its checkpoint.
-               An idle shard's select timeout then costs no core-lock
+               An idle reactor's select timeout then costs no core-lock
                traffic at all. *)
             let timeouts_possible =
               (t.config.lock_timeout <> None && parked_sessions t > 0)
@@ -1235,8 +1122,8 @@ let run t =
             if done_ <> [] then
               Tx_service.with_lock t.svc (fun () ->
                   List.iter (fun s -> destroy t s) done_);
-            Atomic.set t.n_parked (parked_sessions t)
+            t.n_parked <- parked_sessions t
           end
     end
   done;
-  Atomic.set t.n_parked 0
+  t.n_parked <- 0

@@ -6,20 +6,12 @@ module Tailer = Orion_replication.Tailer
 module Replica = Orion_replication.Replica
 open Orion_core
 
-(* Cross-shard mail.  Shards never touch each other's session tables;
-   anything that must happen on another shard's sessions travels as one
-   of these, posted into that shard's inbox. *)
+(* Mail for the reactor thread.  The group committer settles a
+   submitted commit on its own thread; the verdict travels into the
+   reactor's inbox, and the reactor finishes the transaction under the
+   service lock. *)
 type peer_msg =
-  | New_session of { sid : int; fd : Unix.file_descr }
-      (* the acceptor assigned this connection to the shard *)
-  | Resume of int list
-      (* transactions owned by the shard were unblocked by a release
-         elsewhere: re-poll their parked lock requests *)
-  | Victim of { sid : int; tx_id : int; msg : string }
-      (* another shard's deadlock breaker aborted a transaction owned
-         by [sid]: deliver the bad news on its home shard *)
   | Commit_done of { sid : int; tx : Tx.tx; ok : bool; err : string }
-      (* the group committer settled a submitted commit *)
 
 (* Replication role.  [Primary] tails its log for subscribed replicas;
    [Replica_of] applies a primary's stream and refuses writes until
@@ -43,9 +35,7 @@ type t = {
   mutable repl : repl;
   mutable read_only : bool;
   mu : Omutex.t;
-  tx_owner : (int, int * int) Hashtbl.t;  (* tx id -> (shard, session id) *)
-  mutable posters : (peer_msg -> unit) array;  (* indexed by shard *)
-  next_sid : int Atomic.t;
+  tx_owner : (int, int) Hashtbl.t;  (* tx id -> session id *)
   mutable schema_seen : int;
       (* Schema.version at the last checkpoint: schema DDL is
          non-transactional, so with a log attached it is only durable
@@ -57,7 +47,7 @@ type t = {
   contended : Obs.counter;
   lock_wait_seconds : Obs.histogram;
   lock_hold_seconds : Obs.histogram;
-  (* Server-wide instruments, shared by every shard. *)
+  (* Server-wide instruments. *)
   accepted : Obs.counter;
   rejected : Obs.counter;
   requests : Obs.counter;
@@ -94,8 +84,6 @@ let create ?wal ?group_commit_window ?(repl = Standalone) env =
     read_only = (match repl with Replica_of _ -> true | _ -> false);
     mu = Omutex.create Omutex.txsvc_core;
     tx_owner = Hashtbl.create 32;
-    posters = [||];
-    next_sid = Atomic.make 0;
     schema_seen = Orion_schema.Schema.version (Database.schema db);
     acquires = Obs.counter "txsvc.acquires";
     contended = Obs.counter "txsvc.contended";
@@ -113,17 +101,14 @@ let create ?wal ?group_commit_window ?(repl = Standalone) env =
     dispatch_hist = Obs.histogram "server.dispatch_seconds";
   }
 
-let set_posters t posters = t.posters <- posters
-
-let post t ~shard msg = t.posters.(shard) msg
-
 (* The serialization point of the transactional core: the database, the
    lock table (it has no mutex of its own) and the session-transaction
    bookkeeping ([tx_owner], group-commit submit, checkpoint policy).
-   Each shard takes the core lock at most once per reactor tick, and
-   only on ticks that have work for it, dispatching its whole batch of
-   ready requests under one hold.  The wait/hold histograms and the
-   contended counter measure exactly what this mutex costs. *)
+   The reactor takes the core lock at most once per tick, and only on
+   ticks that have work for it, dispatching its whole batch of ready
+   requests under one hold; a replica's applier thread takes it around
+   each applied batch.  The wait/hold histograms and the contended
+   counter measure exactly what this mutex costs. *)
 let with_lock t f =
   let t0 = Unix.gettimeofday () in
   if not (Omutex.try_lock t.mu) then begin
@@ -141,12 +126,10 @@ let with_lock t f =
 
 (* Transaction ownership (under the service lock). *)
 
-let claim t ~tx_id ~shard ~sid = Hashtbl.replace t.tx_owner tx_id (shard, sid)
+let claim t ~tx_id ~sid = Hashtbl.replace t.tx_owner tx_id sid
 let disown t ~tx_id = Hashtbl.remove t.tx_owner tx_id
 let owner t ~tx_id = Hashtbl.find_opt t.tx_owner tx_id
 let open_txs t = Hashtbl.length t.tx_owner
-
-let fresh_sid t = Atomic.fetch_and_add t.next_sid 1
 
 let deadlock_check_due t = Tx.deadlock_check_due t.manager
 
@@ -177,10 +160,9 @@ let class_wait_hist t cls =
       Hashtbl.replace t.class_wait_hists cls h;
       h
 
-(* Checkpoint policy, unchanged from the single-domain server except
-   for the group-commit quiescence condition: a checkpoint's truncation
-   must never race a batch mid-flush (its unsealed records would be cut
-   out from under the seal).  [tx_owner] keeps [Committing]
+(* Checkpoint policy, with one group-commit quiescence condition: a
+   checkpoint's truncation must never race a batch mid-flush (its
+   unsealed records would be cut out from under the seal).  [tx_owner] keeps [Committing]
    transactions claimed until their [Commit_done], so emptiness almost
    implies committer quiescence — the explicit check closes the gap. *)
 let maybe_checkpoint t =
@@ -197,7 +179,7 @@ let maybe_checkpoint t =
   end
 
 (* Promote-on-demand (under the service lock — that is what orders the
-   flip against the applier's in-flight batch and against every shard's
+   flip against the applier's in-flight batch and against the reactor's
    dispatch).  Sequence: seal the applier; attach the local log to the
    serving database ([~truncate_on_checkpoint:false]: the log's byte
    offsets must stay valid — the promoted node is immediately a

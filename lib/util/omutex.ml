@@ -71,7 +71,7 @@ let txsvc_core =
 
 let shard_inbox =
   declare ~name:"shard.inbox" ~rank:20
-    ~doc:"per-shard cross-domain message inbox (instance = shard id)" ()
+    ~doc:"reactor inbox: group-commit verdicts from the committer thread" ()
 
 let group_commit =
   declare ~name:"wal.group_commit" ~rank:40

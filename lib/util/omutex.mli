@@ -18,7 +18,7 @@
 
 type klass
 (** A lock class: one per mutex {e role}, shared by all its instances
-    (each reactor shard's inbox is an instance of [shard_inbox]). *)
+    (two servers in one process each have a [shard_inbox]). *)
 
 val declare :
   ?no_block:bool ->
@@ -85,7 +85,7 @@ type t
 
 val create : ?inst:int -> klass -> t
 (** A mutex in [klass]; [inst] distinguishes instances of
-    multi-instance classes (shard id).  Omitted, each
+    multi-instance classes.  Omitted, each
     mutex gets a unique negative instance — distinct singletons (two
     servers in one process) never alias. *)
 

@@ -2,9 +2,9 @@ module Obs = Orion_obs.Metrics
 module Omutex = Orion_util.Omutex
 
 (* A commit submitted for batching: its pre-captured records, the
-   counters it would seal with, and how to tell its shard the outcome.
+   counters it would seal with, and how to tell the reactor the outcome.
    [notify] runs on the committer thread — implementations must only
-   post to a shard inbox (or similar), never touch shard state. *)
+   post to the reactor's inbox (or similar), never touch reactor state. *)
 type pending = {
   p_tx : int;
   p_records : Wal_record.t list;

@@ -19,11 +19,11 @@
 
     {2 Protocol}
 
-    The submitting shard must have moved the transaction into the
+    The submitting reactor must have moved the transaction into the
     [Committing] state ({!Orion_tx.Tx_manager.submit_commit}) first:
     its locks stay held — strict 2PL across the sync — and it can no
     longer be aborted.  [notify] is called exactly once from the
-    committer thread with the outcome; the shard then finishes the
+    committer thread with the outcome; the reactor then finishes the
     transaction ([complete_commit] / [commit_failed]) and replies to
     the client.  Durability rule unchanged: the client sees the commit
     acknowledged only after the batch's sync returned. *)

@@ -21,8 +21,9 @@ type fault = { kind : fault_kind; mutable remaining : int }
 
 type t = {
   mutable buf : Buffer.t;
-  (* The log buffer is shared between shard domains (via the mutator
-     observers) and the group-commit committer thread; every buffer
+  (* The log buffer is shared between the reactor (via the mutator
+     observers), the group-commit committer thread and a replica's
+     applier; every buffer
      mutation or read happens under [mu].  The mutex is never held
      across a callback, so there is no nesting.  Ranked wal.log: held
      across the fsync-point by design — that cost is exactly what

@@ -183,7 +183,9 @@ val log_batch : t -> records:Wal_record.t list -> seal:Wal_record.t -> unit
 (** {1 Thread-safety}
 
     Every operation that touches the log buffer takes an internal
-    mutex, so shard domains (journaling page writes), the group-commit
-    committer thread and checkpoints can share one log.  Observability
+    mutex, so the threads that share one log — the reactor (journaling
+    page writes, checkpoints, pumping the replication tailer), the
+    group committer and a replica's applier — never see a torn
+    buffer.  Observability
     counters follow the registry-wide convention: racing increments may
     lose a count, never crash. *)

@@ -502,6 +502,27 @@ let test_reset_stats_resets_class_family () =
         Alcotest.failf "%s = %d exceeds lock.blocks = %d" name v total)
     [ "Assembly"; "Part" ]
 
+(* A new table takes over the labeled family a previous table left in
+   the registry: table A blocks on Assembly, then table B is created,
+   and no [lock.blocks{class=C}] may read higher than B's fresh
+   [lock.blocks] total. *)
+let test_new_table_takes_over_class_family () =
+  let module Obs = Orion_obs.Metrics in
+  let a = LT.create () in
+  ignore (LT.acquire a ~tx:1 (LT.G_class "Assembly") LM.X);
+  Alcotest.(check bool) "table A blocks" true
+    (LT.acquire a ~tx:2 (LT.G_class "Assembly") LM.X = `Blocked);
+  let _b = LT.create () in
+  let snap = Obs.snapshot () in
+  let total = Option.value ~default:0 (Obs.find_counter snap "lock.blocks") in
+  List.iter
+    (fun (name, v) ->
+      match Obs.label_value name ~base:"lock.blocks" ~key:"class" with
+      | Some _ when v > total ->
+          Alcotest.failf "%s = %d exceeds lock.blocks = %d" name v total
+      | Some _ | None -> ())
+    snap.Obs.counters
+
 (* Property: a constructed wait-for cycle of length k among holder-only
    bystanders is always found, the found cycle is exactly the
    constructed one, and aborting the youngest member (the server's
@@ -569,6 +590,8 @@ let () =
             test_per_class_block_labels;
           Alcotest.test_case "reset_stats resets class labels" `Quick
             test_reset_stats_resets_class_family;
+          Alcotest.test_case "new table takes over class labels" `Quick
+            test_new_table_takes_over_class_family;
         ] );
       ( "lock table regressions",
         [

@@ -30,15 +30,6 @@ let schema_forms =
   (Parts :domain (set-of Part) :composite true :exclusive true :dependent true)))
 |}
 
-(* ORION_TEST_DOMAINS reruns the whole suite against a sharded reactor
-   (the CI matrix runs it at 1 and 4): every test that does not pick a
-   domain count itself gets this one, so the single-domain behavioral
-   contract is asserted verbatim against the multi-domain server. *)
-let test_domains =
-  match Sys.getenv_opt "ORION_TEST_DOMAINS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-  | None -> 1
-
 (* Run [f addr] against a server serving a fresh env; the server is
    stopped and joined afterwards, and its database handed back for
    post-mortem assertions. *)
@@ -53,13 +44,7 @@ let with_server ?config ?wal ?env f =
         ignore (Eval.eval_program env schema_forms : Eval.v list);
         env
   in
-  let config =
-    let c = Option.value config ~default:Server.default_config in
-    if c.Server.domains = Server.default_config.Server.domains then
-      { c with Server.domains = test_domains }
-    else c
-  in
-  let server = Server.create ~config ?wal env (Server.Unix_path sock) in
+  let server = Server.create ?config ?wal env (Server.Unix_path sock) in
   let thread = Thread.create Server.run server in
   let finished = ref false in
   Fun.protect
@@ -590,8 +575,7 @@ let test_kill_then_recover () =
   Persist.save db;
   let committed, killed_count =
     let sock = Filename.concat dir "orion.sock" in
-    let config = { Server.default_config with domains = test_domains } in
-    let server = Server.create ~config ~wal env (Server.Unix_path sock) in
+    let server = Server.create ~wal env (Server.Unix_path sock) in
     let thread = Thread.create Server.run server in
     let addr = Orion_protocol.Addr.Unix_path sock in
     let c1 = connect addr in
@@ -653,134 +637,6 @@ let test_kill_then_recover () =
         (Format.pp_print_list Integrity.pp_violation)
         violations)
 
-(* Multi-domain shards ------------------------------------------------------------ *)
-
-(* The 32-client conflict-heavy workload against an explicitly sharded
-   reactor: serializability must be indistinguishable from the
-   single-domain server (one service lock guards the transactional
-   core; the shards only parallelize I/O). *)
-let test_multi_domain_workload_serializable () =
-  let clients = 32 and ops = 3 in
-  let config = { Server.default_config with domains = 4 } in
-  let (), db, stats =
-    with_server ~config (fun addr _server ->
-        let c0 = connect addr in
-        let root =
-          match Client.eval c0 "(setq shared (make Assembly))" with
-          | Message.Obj oid -> oid
-          | _ -> Alcotest.fail "make"
-        in
-        Client.close c0;
-        let failures = Queue.create () in
-        let failures_mu = Mutex.create () in
-        let worker i () =
-          try
-            let c = connect addr in
-            for j = 1 to ops do
-              let rec attempt retries =
-                ignore (Client.begin_tx c : int);
-                match
-                  Client.lock_composite c ~root Message.Update;
-                  ignore
-                    (Client.make c ~cls:"Part" ~parents:[ (root, "Parts") ]
-                       ~attrs:
-                         [ ("Name", Value.Str (Printf.sprintf "m-%d-%d" i j)) ]
-                       ()
-                      : Oid.t);
-                  Client.commit c
-                with
-                | () -> ()
-                | exception Client.Error ((Message.Conflict | Message.Timeout), _)
-                  when retries > 0 ->
-                    attempt (retries - 1)
-              in
-              attempt 5
-            done;
-            Client.close c
-          with e ->
-            Mutex.lock failures_mu;
-            Queue.push (i, Printexc.to_string e) failures;
-            Mutex.unlock failures_mu
-        in
-        let threads = List.init clients (fun i -> Thread.create (worker i) ()) in
-        List.iter Thread.join threads;
-        (match Queue.peek_opt failures with
-        | Some (i, msg) -> Alcotest.failf "client %d failed: %s" i msg
-        | None -> ());
-        let c = connect addr in
-        ignore (Client.begin_tx c : int);
-        let parts = Client.components_of c root in
-        Client.commit c;
-        Alcotest.(check int) "all appends present" (clients * ops)
-          (List.length parts);
-        Alcotest.(check int) "no duplicate components" (List.length parts)
-          (List.length (List.sort_uniq Oid.compare parts));
-        Client.close c)
-  in
-  Alcotest.(check int) "every session admitted" 34 stats.Server.accepted;
-  (match Integrity.check db with
-  | [] -> ()
-  | violations ->
-      Alcotest.failf "integrity: %a"
-        (Format.pp_print_list Integrity.pp_violation)
-        violations)
-
-(* Two sessions that land on the same shard of a 4-shard server (sids 0
-   and 4, both ≡ 0 mod 4) deadlock each other: detection and victim
-   notification must work when both the cycle's sessions share one
-   reactor — the cross-shard case is what the ORION_TEST_DOMAINS=4 run
-   of the generic deadlock test exercises. *)
-let test_same_shard_deadlock () =
-  let config = { Server.default_config with domains = 4 } in
-  let (), _, stats =
-    with_server ~config (fun addr _server ->
-        (* Five connections: sids 0..4; keep 0 and 4 (shard 0). *)
-        let c0 = connect addr in
-        let spacers = List.init 3 (fun _ -> connect addr) in
-        let c4 = connect addr in
-        let oid_of c form =
-          match Client.eval c form with
-          | Message.Obj oid -> oid
-          | _ -> Alcotest.fail "make"
-        in
-        Alcotest.(check int) "sid 0" 0 (Client.session_id c0);
-        Alcotest.(check int) "sid 4" 4 (Client.session_id c4);
-        let a = oid_of c0 "(setq a (make Assembly))" in
-        let b = oid_of c0 "(setq b (make Assembly))" in
-        ignore (Client.begin_tx c0 : int);
-        ignore (Client.begin_tx c4 : int);
-        Client.lock_composite c0 ~root:a Message.Update;
-        Client.lock_composite c4 ~root:b Message.Update;
-        let c0_result = ref `Pending in
-        let waiter =
-          Thread.create
-            (fun () ->
-              match Client.lock_composite c0 ~root:b Message.Update with
-              | () -> c0_result := `Granted
-              | exception Client.Error (code, _) -> c0_result := `Error code)
-            ()
-        in
-        Thread.delay 0.2;
-        (match Client.lock_composite c4 ~root:a Message.Update with
-        | () -> Alcotest.fail "victim's lock cannot be granted"
-        | exception Client.Error (Message.Conflict, _) -> ());
-        Thread.join waiter;
-        Alcotest.(check bool) "survivor's lock granted" true
-          (!c0_result = `Granted);
-        Alcotest.(check bool) "victim got the deadlock push" true
-          (List.exists
-             (function Message.Deadlock_victim _ -> true | _ -> false)
-             (Client.notices c4));
-        Client.commit c0;
-        ignore (Client.begin_tx c4 : int);
-        Client.lock_composite c4 ~root:a Message.Update;
-        Client.commit c4;
-        Client.close c0;
-        Client.close c4;
-        List.iter Client.close spacers)
-  in
-  Alcotest.(check int) "one victim counted" 1 stats.Server.deadlock_victims
-
 (* Group commit over the wire ----------------------------------------------------- *)
 
 (* Two commits submitted while both transactions are open must coalesce
@@ -794,11 +650,7 @@ let test_group_commit_batches_on_the_wire () =
   let wal = Wal.create () in
   Wal.attach wal (Eval.database env);
   let config =
-    {
-      Server.default_config with
-      domains = test_domains;
-      group_commit_window = Some 0.5;
-    }
+    { Server.default_config with group_commit_window = Some 0.5 }
   in
   let counter snap name =
     Option.value (Obs.find_counter snap name) ~default:0
@@ -837,11 +689,11 @@ let test_group_commit_batches_on_the_wire () =
   in
   ()
 
-(* Acked-implies-durable under multi-domain load: concurrent sessions
-   commit through the group committer, the server dies by kill -9, and
-   replay of the surviving log must contain EVERY acknowledged commit —
-   the reply is only sent after the batch sync. *)
-let test_kill_recover_group_commit_multidomain () =
+(* Acked-implies-durable under concurrent load: sessions commit through
+   the group committer, the server dies by kill -9, and replay of the
+   surviving log must contain EVERY acknowledged commit — the reply is
+   only sent after the batch sync. *)
+let test_kill_recover_group_commit () =
   let dir = temp_dir () in
   let wal_path = Filename.concat dir "gc-crash.wal" in
   let db = Database.create () in
@@ -855,11 +707,7 @@ let test_kill_recover_group_commit_multidomain () =
   let acked =
     let sock = Filename.concat dir "orion.sock" in
     let config =
-      {
-        Server.default_config with
-        domains = 4;
-        group_commit_window = Some 0.002;
-      }
+      { Server.default_config with group_commit_window = Some 0.002 }
     in
     let server = Server.create ~config ~wal env (Server.Unix_path sock) in
     let thread = Thread.create Server.run server in
@@ -1109,11 +957,7 @@ let test_read_only_commit_skips_log () =
   let wal = Wal.create () in
   Wal.attach wal db;
   let config =
-    {
-      Server.default_config with
-      domains = test_domains;
-      group_commit_window = Some 0.002;
-    }
+    { Server.default_config with group_commit_window = Some 0.002 }
   in
   let counter snap name = Option.value (Obs.find_counter snap name) ~default:0 in
   let (), _, _ =
@@ -1166,7 +1010,7 @@ let io_error_refuses_commits ~window () =
   Wal.set_backing wal (Some wal_path);
   Persist.save (Eval.database env);
   let config =
-    { Server.default_config with domains = test_domains; group_commit_window = window }
+    { Server.default_config with group_commit_window = window }
   in
   let make_part c name =
     ignore (Client.begin_tx c : int);
@@ -1213,11 +1057,7 @@ let test_solo_committer_seals_eagerly () =
   Wal.attach wal (Eval.database env);
   let window = 2.0 in
   let config =
-    {
-      Server.default_config with
-      domains = test_domains;
-      group_commit_window = Some window;
-    }
+    { Server.default_config with group_commit_window = Some window }
   in
   let (), _, _ =
     with_server ~config ~wal ~env (fun addr _server ->
@@ -1314,16 +1154,15 @@ let () =
           Alcotest.test_case "32 clients serializable" `Slow
             test_concurrent_workload_serializable;
         ] );
-      ( "multicore",
+      ( "commit",
         [
-          Alcotest.test_case "32 clients, 4 domains serializable" `Slow
-            test_multi_domain_workload_serializable;
-          Alcotest.test_case "same-shard deadlock" `Quick test_same_shard_deadlock;
           Alcotest.test_case "group commit batches on the wire" `Quick
             test_group_commit_batches_on_the_wire;
-          Alcotest.test_case "kill -9 under group commit, 4 domains" `Quick
-            test_kill_recover_group_commit_multidomain;
         ] );
       ( "recovery",
-        [ Alcotest.test_case "kill -9 then recover" `Quick test_kill_then_recover ] );
+        [
+          Alcotest.test_case "kill -9 then recover" `Quick test_kill_then_recover;
+          Alcotest.test_case "kill -9 under group commit" `Quick
+            test_kill_recover_group_commit;
+        ] );
     ]
