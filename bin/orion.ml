@@ -765,10 +765,12 @@ let serve_cmd =
       value & opt int 0
       & info [ "group-commit-window" ] ~docv:"US"
           ~doc:
-            "Group-commit batching window in microseconds: write commits \
+            "Group-commit batching window in microseconds: every write \
+             commit is made durable by the group committer, and commits \
              arriving within the window coalesce into one log append and one \
-             fsync (0, the default, syncs every write commit inline; \
-             read-only commits never touch the log).  Requires $(b,--wal).")
+             fsync (0, the default, flushes as soon as the committer is free; \
+             read-only commits never touch the log).  Requires $(b,--wal); \
+             on a replica it takes effect at promotion.")
   in
   let repl_flag =
     Arg.(
@@ -850,9 +852,7 @@ let serve_cmd =
         lock_timeout = (if lock_timeout <= 0. then None else Some lock_timeout);
         metrics_interval =
           (if metrics_interval <= 0. then None else Some metrics_interval);
-        group_commit_window =
-          (if group_commit_window <= 0 then None
-           else Some (float_of_int group_commit_window /. 1_000_000.));
+        group_commit_window = float_of_int group_commit_window /. 1_000_000.;
       }
     in
     if slow_op_ms > 0. then
@@ -879,11 +879,6 @@ let serve_cmd =
         if wal then begin
           Format.eprintf
             "error: --replica-of manages its own log (drop --wal)@.";
-          exit 2
-        end;
-        if group_commit_window > 0 then begin
-          Format.eprintf
-            "error: --group-commit-window is a primary-side option@.";
           exit 2
         end;
         let primary =
@@ -1312,7 +1307,7 @@ let () =
      not just serve's --lockdep flag. *)
   Orion_analysis.Lockdep.install_from_env ();
   let doc = "Composite objects a la ORION (Kim, Bertino & Garza, SIGMOD 1989)" in
-  let info = Cmd.info "orion" ~version:"1.12.0" ~doc in
+  let info = Cmd.info "orion" ~version:"1.13.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval

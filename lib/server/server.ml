@@ -15,7 +15,7 @@ type config = Shard.config = {
   idle_timeout : float option;
   lock_timeout : float option;
   metrics_interval : float option;
-  group_commit_window : float option;
+  group_commit_window : float;
 }
 
 let default_config = Shard.default_config
@@ -71,34 +71,23 @@ let session_count t = Shard.session_count t.shard
 
 let create ?(config = default_config) ?wal ?repl env addr =
   let listen, bound = listen_on addr in
-  let svc =
-    Tx_service.create ?wal ?group_commit_window:config.group_commit_window ?repl
-      env
-  in
+  let svc = Tx_service.create ?wal ~window:config.group_commit_window ?repl env in
   let shard = Shard.create ~config ~svc ~listen ~addr:bound in
   Obs.gauge "server.sessions" (fun () -> Shard.session_count shard);
   Obs.gauge "server.parked" (fun () -> Shard.parked_count shard);
-  (* No log attached: register zeroed WAL counters so the wire snapshot
-     always covers the WAL subsystem (matching Database.stats, which
-     reports zeros without a source). *)
+  (* No log attached (hence no committer): register zeroed WAL and
+     group-commit instruments so the wire snapshot always covers the WAL
+     subsystem (matching Database.stats, which reports zeros without a
+     source). *)
   if Option.is_none wal then begin
     List.iter
       (fun name -> ignore (Obs.counter name : Obs.counter))
-      [ "wal.appends"; "wal.bytes"; "wal.syncs"; "wal.truncations" ];
+      [ "wal.appends"; "wal.bytes"; "wal.syncs"; "wal.truncations";
+        "wal.group_commit.batches"; "wal.group_commit.batched_txs";
+        "wal.group_commit.solo_txs" ];
     List.iter
       (fun name -> ignore (Obs.histogram name : Obs.histogram))
-      [ "wal.append_seconds"; "wal.sync_seconds" ]
-  end;
-  (* Likewise for the group-commit instruments when batching is off. *)
-  if svc.Tx_service.gc = None then begin
-    List.iter
-      (fun name -> ignore (Obs.counter name : Obs.counter))
-      [
-        "wal.group_commit.batches";
-        "wal.group_commit.batched_txs";
-        "wal.group_commit.solo_txs";
-      ];
-    ignore (Obs.histogram "wal.group_commit.batch_size" : Obs.histogram)
+      [ "wal.append_seconds"; "wal.sync_seconds"; "wal.group_commit.batch_size" ]
   end;
   { svc; shard }
 

@@ -22,12 +22,14 @@
     is told with a [Deadlock_victim] push (plus a [Conflict] error reply
     if it was parked) and can retry.
 
-    Group commit: with a log attached and [group_commit_window > 0],
-    commits are submitted to a batching committer instead of syncing
-    inline.  Commits that arrive within the window coalesce into one
+    Group commit: with a log attached — from start-up, or from a
+    replica's promotion — every write commit is submitted to the
+    batching committer; the reactor never syncs a commit itself.
+    Commits that arrive within [group_commit_window] coalesce into one
     log append + one [fsync], sealed by a single commit-group record —
     all-or-none on replay, so a crash mid-batch aborts the whole batch
-    (see {!Orion_wal.Group_commit}).  Locks stay held across the batch
+    (see {!Orion_wal.Group_commit}).  A read-only commit, or any commit
+    without a log, is lock release.  Locks stay held across the batch
     sync (strict 2PL); the client's commit reply is sent only after the
     sync, so an acknowledged commit is always durable.  The committer
     thread hands each verdict back through the reactor's inbox.
@@ -66,10 +68,10 @@ type config = Shard.config = {
   metrics_interval : float option;
       (** emit a one-line metrics digest to stderr this often;
           [None] = never (default) *)
-  group_commit_window : float option;
-      (** group-commit batching window in seconds; [None] or [0.]
-          syncs every commit inline (default [None]).  Only effective
-          with a log attached. *)
+  group_commit_window : float;
+      (** seconds the group committer holds a batch open for
+          stragglers; [0.] (default) flushes as soon as the committer
+          is free.  Only effective with a log attached. *)
 }
 
 val default_config : config
@@ -85,8 +87,8 @@ val create :
   t
 (** Bind and listen.  The environment's database is the one served;
     its bindings ([setq] names) are shared by every session.  [?wal]
-    is the log already attached to the database — transactions commit
-    through it ({!Orion_tx.Tx_manager}).  [?repl] is the replication
+    is the log already attached to the database — write transactions
+    commit through it via the group committer.  [?repl] is the replication
     role (default [Standalone]): a [Primary] tails its log for
     subscribed replicas, a [Replica_of] serves read-only sessions
     while its applier mirrors the primary (and can be promoted).

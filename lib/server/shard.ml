@@ -25,7 +25,7 @@ type config = {
   idle_timeout : float option;
   lock_timeout : float option;
   metrics_interval : float option;
-  group_commit_window : float option;
+  group_commit_window : float;
 }
 
 let default_config =
@@ -35,7 +35,7 @@ let default_config =
     idle_timeout = None;
     lock_timeout = Some 30.;
     metrics_interval = None;
-    group_commit_window = None;
+    group_commit_window = 0.;
   }
 
 type session = {
@@ -514,8 +514,8 @@ and handle t session req =
                 ~notify:(fun ~ok ~err ->
                   enqueue t (Tx_service.Commit_done { sid; tx; ok; err }))
           | _ -> (
-              (* Direct commit; a read-only transaction always lands
-                 here — its commit is lock release, nothing to batch. *)
+              (* Lock release: a read-only commit, or any commit on a
+                 server without a log (the manager logs nothing). *)
               session.tx <- None;
               Tx_service.disown svc ~tx_id:(Tx.tx_id tx);
               match Tx.commit manager tx with
@@ -524,15 +524,9 @@ and handle t session req =
                   resume t unblocked
               | exception e ->
                   let unblocked = Tx.abort manager tx in
-                  let code, msg =
-                    match e with
-                    | Unix.Unix_error _ | Orion_wal.Wal.Crashed ->
-                        (Message.Io_error, Orion_wal.Wal.failure_message e)
-                    | e ->
-                        ( Message.Conflict,
-                          "commit failed: " ^ Printexc.to_string e )
-                  in
-                  error session code (msg ^ "; transaction aborted");
+                  error session Message.Conflict
+                    ("commit failed: " ^ Printexc.to_string e
+                   ^ "; transaction aborted");
                   resume t unblocked)))
   | Message.Abort -> (
       match session.tx with

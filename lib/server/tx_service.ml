@@ -30,8 +30,10 @@ type t = {
   env : Eval.env;
   db : Database.t;
   manager : Tx.t;
-  gc : Orion_wal.Group_commit.t option;
-  mutable wal_attached : bool;
+  window : float;  (* group-commit window, kept for promotion *)
+  mutable gc : Orion_wal.Group_commit.t option;
+      (* [Some] exactly when a log is attached: every write commit is
+         made durable by this committer, never inline by the reactor *)
   mutable repl : repl;
   mutable read_only : bool;
   mu : Omutex.t;
@@ -60,26 +62,23 @@ type t = {
   dispatch_hist : Obs.histogram;
 }
 
-let create ?wal ?group_commit_window ?(repl = Standalone) env =
+let committer ~window manager wal =
+  Orion_wal.Group_commit.create ~window
+    ~on_sealed:(fun ~clock records ->
+      Orion_mvcc.Version_store.publish_records (Tx.version_store manager)
+        ~clock records)
+    wal
+
+let create ?wal ~window ?(repl = Standalone) env =
   let db = Eval.database env in
-  let manager = Tx.create ?wal db in
-  let gc =
-    match (wal, group_commit_window) with
-    | Some wal, Some window when window > 0. ->
-        Some
-          (Orion_wal.Group_commit.create ~window
-             ~on_sealed:(fun ~clock records ->
-               Orion_mvcc.Version_store.publish_records
-                 (Tx.version_store manager) ~clock records)
-             wal)
-    | _ -> None
-  in
+  (* The manager logs nothing: the committer is the durability point. *)
+  let manager = Tx.create db in
   {
     env;
     db;
     manager;
-    gc;
-    wal_attached = Option.is_some wal;
+    window;
+    gc = Option.map (committer ~window manager) wal;
     repl;
     read_only = (match repl with Replica_of _ -> true | _ -> false);
     mu = Omutex.create Omutex.txsvc_core;
@@ -149,8 +148,7 @@ let checkpoint_due t =
    durability point), and [Committing] ones are already in the batch.
    The submitter itself is [Committing] by the time this runs
    ({!Orion_tx.Tx_manager.submit_commit} first), so zero means solo. *)
-let submit_is_eager t =
-  match t.gc with None -> true | Some _ -> Tx.active_count t.manager = 0
+let submit_is_eager t = Tx.active_count t.manager = 0
 
 let class_wait_hist t cls =
   match Hashtbl.find_opt t.class_wait_hists cls with
@@ -167,16 +165,14 @@ let class_wait_hist t cls =
    implies committer quiescence — the explicit check closes the gap. *)
 let maybe_checkpoint t =
   let v = Orion_schema.Schema.version (Database.schema t.db) in
-  if
-    v <> t.schema_seen
-    && Hashtbl.length t.tx_owner = 0
-    && (match t.gc with
-       | Some gc -> Orion_wal.Group_commit.quiescent gc
-       | None -> true)
-  then begin
-    if t.wal_attached then Orion_core.Persist.save t.db;
-    t.schema_seen <- v
-  end
+  if v <> t.schema_seen && Hashtbl.length t.tx_owner = 0 then
+    match t.gc with
+    | Some gc ->
+        if Orion_wal.Group_commit.quiescent gc then begin
+          Orion_core.Persist.save t.db;
+          t.schema_seen <- v
+        end
+    | None -> t.schema_seen <- v
 
 (* Promote-on-demand (under the service lock — that is what orders the
    flip against the applier's in-flight batch and against the reactor's
@@ -184,9 +180,10 @@ let maybe_checkpoint t =
    serving database ([~truncate_on_checkpoint:false]: the log's byte
    offsets must stay valid — the promoted node is immediately a
    shippable primary) — the log is non-empty, so attach skips the base
-   backup; late-bind the transaction manager's log; lift the read-only
-   guards (Eval mutator, DDL gate); checkpoint once as a primary; and
-   start tailing for downstream replicas of our own. *)
+   backup; start a group committer on the log, so the promoted node's
+   write commits take the same durable path as any primary's; lift the
+   read-only guards (Eval mutator, DDL gate); checkpoint once as a
+   primary; and start tailing for downstream replicas of our own. *)
 let promote t =
   match t.repl with
   | Standalone -> Error "not a replica (started without --replica-of)"
@@ -198,8 +195,7 @@ let promote t =
         let wal = Replica.wal replica in
         Orion_wal.Wal.attach ~snapshot_path:(Replica.db_path replica)
           ~truncate_on_checkpoint:false wal t.db;
-        Tx.set_wal t.manager wal;
-        t.wal_attached <- true;
+        t.gc <- Some (committer ~window:t.window t.manager wal);
         t.read_only <- false;
         Eval.set_mutator t.env None;
         Orion_schema.Schema.set_ddl_gate (Database.schema t.db) promote_gate;

@@ -4,15 +4,18 @@
     [op] names the blocking operation for lockdep
     ({!Orion_util.Omutex.blocking}): ["wal.fsync"] for the log,
     ["store.fsync"] for the snapshot.
-    [disk_full] is fault injection: half the bytes are written, then
-    the call fails with [ENOSPC].
+    [fault] is fault injection ({!fault}).
 
     Errors surface as [Unix.Unix_error] (or [Sys_error] from a
-    {!replace} writer); a failed call leaves whatever partial bytes the
+    {!replace} writer); a failed write leaves whatever partial bytes the
     failure left. *)
 
+type fault =
+  | Disk_full  (** half the bytes are written, then [ENOSPC] ([write]) *)
+  | Fsync_error  (** every byte is written, then [EIO] ([fsync]) *)
+
 val replace :
-  ?disk_full:bool -> op:string -> string -> (out_channel -> unit) -> unit
+  ?fault:fault -> op:string -> string -> (out_channel -> unit) -> unit
 (** [replace ~op path write]: [write] the content into [path ^ ".tmp"],
     fsync it, rename it over [path], then fsync the directory — after a
     crash [path] holds either its old content or the new one, never a
@@ -22,7 +25,7 @@ val open_append : string -> Unix.file_descr
 (** An append-mode descriptor on an existing file. *)
 
 val append :
-  ?disk_full:bool ->
+  ?fault:fault ->
   op:string ->
   Unix.file_descr ->
   string ->
@@ -30,7 +33,9 @@ val append :
   len:int ->
   unit
 (** Write [len] bytes of the string from [pos] at the end of the file
-    (resuming after short writes), then fsync. *)
+    (resuming after short writes), then fsync.  A failed fsync cuts the
+    file back to its length before the write (best effort) before
+    re-raising: bytes that never became durable must not be read back. *)
 
 val truncate : op:string -> Unix.file_descr -> int -> unit
 (** Cut the file to [len] bytes and fsync. *)

@@ -53,8 +53,8 @@ let run ?(max_rounds = 100_000) manager scripts =
             | `Granted -> runner.cursor <- rest
             | `Blocked -> ())
         | (Mutate _) :: _ | [] -> ())
-    (* The scheduler drives direct commits only; [Committing] never
-       appears here (no group-commit submission in scripted runs). *)
+    (* [Committing] never appears here: the scheduler commits with
+       [Tx_manager.commit], never through a group committer. *)
     | Tx_manager.Committing | Tx_manager.Committed | Tx_manager.Aborted -> ()
     | Tx_manager.Active -> (
         match runner.cursor with

@@ -28,7 +28,7 @@ type t = {
   txs : (int, tx) Hashtbl.t;
   mutable next_tx : int;
   escalation_threshold : int option;
-  mutable wal : Orion_wal.Wal.t option;
+  wal : Orion_wal.Wal.t option;
   mvcc : Version_store.t;
   escalations : Obs.counter;
   acquire_hist : Obs.histogram;
@@ -57,7 +57,6 @@ let create ?compat ?escalation_threshold ?wal db =
   }
 
 let database t = t.db
-let set_wal t wal = t.wal <- Some wal
 
 let lock_table t = t.table
 let version_store t = t.mvcc
@@ -257,7 +256,7 @@ let finish t tx state =
   tx.tx_state <- state;
   (* Unpin the version chains this transaction held open (its commit,
      if any, already published — the committer publishes before it
-     notifies, and the direct path publishes above). *)
+     notifies, and [commit] publishes before it finishes). *)
   Version_store.settle t.mvcc ~tx:tx.id;
   (* Releasing also dequeues any lock request the transaction still has
      queued, so finishing a [Blocked] transaction (deadlock victim,
@@ -284,61 +283,9 @@ let validate_commitable tx =
   | Committed | Aborted ->
       invalid_arg "Tx_manager.commit: transaction already finished"
 
-(* Durability point: after-images of everything this transaction may
-   have touched (its undo-snapshot coverage plus its creations) reach
-   the log, sealed by a commit record, before any lock is released.  No
-   log attached — in-memory semantics, commit is lock release.  Either
-   way the commit claims a fresh clock (visibility point for snapshot
-   reads) and publishes its after-images to the version store before
-   locks drop. *)
-let commit_writes t tx =
-  let touched =
-    List.sort_uniq Oid.compare (Snapshot.captured tx.snapshot @ tx.created)
-  in
-  let clock = Database.tick t.db in
-  (match t.wal with
-  | Some wal ->
-      let records = Orion_wal.Wal.commit_records t.db ~tx:tx.id ~touched in
-      let next_oid, _ = Database.counters t.db in
-      let cc = Database.current_cc t.db in
-      (* The direct path's fsync runs under whatever lock the caller
-         holds (the server dispatches commits under the service lock) —
-         by design: strict 2PL keeps the locks across the durability
-         point.  Declared as a lockdep exemption; group commit exists
-         precisely to amortize this. *)
-      Orion_util.Omutex.allow_blocking "direct-commit-durability" (fun () ->
-          Orion_wal.Wal.log_batch wal ~records
-            ~seal:
-              (Orion_wal.Wal_record.Commit { tx = tx.id; next_oid; clock; cc }));
-      Version_store.publish_records t.mvcc ~clock records
-  | None ->
-      Version_store.publish t.mvcc ~clock
-        (List.map
-           (fun oid ->
-             match Database.find t.db oid with
-             | Some inst ->
-                 ( oid,
-                   Some
-                     {
-                       Version_store.inst = Instance.copy inst;
-                       rrefs = Database.rrefs t.db oid;
-                     } )
-             | None -> (oid, None))
-           touched));
-  finish t tx Committed
-
 (* Nothing captured, nothing created: the transaction changed no
    object, so its commit has nothing to log, seal or publish. *)
 let read_only tx = tx.created = [] && Snapshot.is_empty tx.snapshot
-
-let commit t tx =
-  validate_commitable tx;
-  if read_only tx then
-    (* Commit is lock release: no record, no sync, no clock tick.
-       Strict 2PL makes that safe — every writer holds its locks across
-       its own sync, so whatever this transaction read was durable. *)
-    finish t tx Committed
-  else commit_writes t tx
 
 (* Group-commit split of [commit]: capture the after-image records now
    (while the workspace still holds this transaction's writes) and park
@@ -378,6 +325,51 @@ let commit_failed t tx =
     (fun oid -> if Database.exists t.db oid then Database.remove t.db oid)
     tx.created;
   finish t tx Aborted
+
+(* Durability point: the group committer's protocol run inline — the
+   after-images reach the log, sealed by a commit record, before any
+   lock is released.  No log attached — in-memory semantics, commit is
+   lock release.  Either way the commit claims a fresh clock
+   (visibility point for snapshot reads) and publishes its after-images
+   to the version store before locks drop. *)
+let commit t tx =
+  validate_commitable tx;
+  if read_only tx then
+    (* Commit is lock release: no record, no sync, no clock tick.
+       Strict 2PL makes that safe — every writer holds its locks across
+       its own sync, so whatever this transaction read was durable. *)
+    finish t tx Committed
+  else
+    match t.wal with
+    | Some wal -> (
+        let records, (next_oid, clock, cc) = submit_commit t tx in
+        match
+          Orion_wal.Wal.log_batch wal ~records
+            ~seal:(Orion_wal.Wal_record.Commit { tx = tx.id; next_oid; clock; cc })
+        with
+        | () ->
+            Version_store.publish_records t.mvcc ~clock records;
+            complete_commit t tx
+        | exception e ->
+            ignore (commit_failed t tx : int list);
+            raise e)
+    | None ->
+        let clock = Database.tick t.db in
+        Version_store.publish t.mvcc ~clock
+          (List.map
+             (fun oid ->
+               match Database.find t.db oid with
+               | Some inst ->
+                   ( oid,
+                     Some
+                       {
+                         Version_store.inst = Instance.copy inst;
+                         rrefs = Database.rrefs t.db oid;
+                       } )
+               | None -> (oid, None))
+             (List.sort_uniq Oid.compare
+                (Snapshot.captured tx.snapshot @ tx.created)));
+        finish t tx Committed
 
 let abort t tx =
   match tx.tx_state with

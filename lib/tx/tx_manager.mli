@@ -46,11 +46,6 @@ val create :
 
 val database : t -> Database.t
 
-val set_wal : t -> Orion_wal.Wal.t -> unit
-(** Late-bind the write-ahead log of a manager created without one — a
-    promoted replica starts logging commits the moment it starts
-    accepting writes.  Call at a transaction-quiescent point. *)
-
 val lock_table : t -> Orion_locking.Lock_table.t
 
 val active_count : t -> int
@@ -109,13 +104,17 @@ val read_only : tx -> bool
 
 val commit : t -> tx -> int list
 (** Log the after-images and a [Commit] seal, sync, publish, then
-    release locks; returns transactions unblocked by the release.  A
-    {!read_only} transaction only releases its locks: no record, no
-    sync, no clock tick.
+    release locks; returns transactions unblocked by the release.  On a
+    logged manager this is the group-commit protocol run inline on the
+    caller's thread — {!submit_commit}, {!Orion_wal.Wal.log_batch},
+    publish, {!complete_commit} — so its log bytes are identical to a
+    committer's batch of one.  A {!read_only} transaction only releases
+    its locks: no record, no sync, no clock tick.
     @raise Invalid_argument on a [Blocked] transaction (its lock
     request is still queued — commit would break two-phase locking) or
-    an already-finished one.  A log failure propagates with the
-    transaction still [Active]: the caller aborts it. *)
+    an already-finished one.  A log failure propagates after
+    {!commit_failed} has undone the workspace and finished the
+    transaction [Aborted]; a later {!abort} is a no-op. *)
 
 val submit_commit : t -> tx -> Orion_wal.Wal_record.t list * (int * int * int)
 (** Group-commit first half: capture the transaction's after-image

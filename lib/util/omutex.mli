@@ -9,8 +9,7 @@
     holding a lower one"; two instances of one class are never held at
     once.  The one exception is first-class here rather than folklore:
     {!allow_blocking} brackets code that holds a no-block class across
-    a declared durability point by design (the direct-commit fsync, the
-    checkpoint bracket).
+    a declared durability point by design (the checkpoint bracket).
 
     When no tracer is installed ([enabled] false), every operation is a
     flat [bool ref] test away from the raw [Mutex] call — cheap enough

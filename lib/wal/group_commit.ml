@@ -56,17 +56,12 @@ let submit t ~tx ~records ~next_oid ~clock ~cc ~eager ~notify =
   Condition.signal t.cond;
   Omutex.unlock t.mu
 
-let pending_count t =
-  Omutex.lock t.mu;
-  let n = List.length t.pending + if t.flushing then 1 else 0 in
-  Omutex.unlock t.mu;
-  n
-
 (* Write one batch: every member's records, one seal, one sync.  A solo
-   member seals with a plain [Commit] — byte-identical to the direct
-   path — so `--group-commit-window` changes nothing on disk until two
-   commits actually coincide.  K > 1 seals with a single [Commit_group];
-   recovery then replays the whole batch or (on a torn seal) none of it. *)
+   member seals with a plain [Commit] — byte-identical to
+   [Tx_manager.commit] on a logged manager — so the window changes
+   nothing on disk until two commits actually coincide.  K > 1 seals
+   with a single [Commit_group]; recovery then replays the whole batch
+   or (on a torn seal) none of it. *)
 let flush_batch t batch =
   let batch = List.rev batch in
   let records = List.concat_map (fun p -> p.p_records) batch in
@@ -148,7 +143,7 @@ let committer t () =
     if tail <> [] then flush_batch t tail
   end
 
-let create ?(window = 0.002) ?on_sealed wal =
+let create ~window ?on_sealed wal =
   let t =
     {
       wal;
@@ -186,4 +181,8 @@ let stop ~discard t =
 let shutdown t = stop ~discard:false t
 let kill t = stop ~discard:true t
 
-let quiescent t = pending_count t = 0
+let quiescent t =
+  Omutex.lock t.mu;
+  let idle = t.pending = [] && not t.flushing in
+  Omutex.unlock t.mu;
+  idle

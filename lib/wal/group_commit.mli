@@ -14,8 +14,8 @@
     record, so a crash (or torn write) anywhere inside the batch
     replays as {e zero} commits — the PR2 redo-only invariant, never a
     partial batch.  A batch of one seals with a plain
-    {!Wal_record.Commit}, byte-identical to the direct
-    commit path.
+    {!Wal_record.Commit}, byte-identical to
+    {!Orion_tx.Tx_manager.commit} on a logged manager.
 
     {2 Protocol}
 
@@ -26,23 +26,25 @@
     committer thread with the outcome; the reactor then finishes the
     transaction ([complete_commit] / [commit_failed]) and replies to
     the client.  Durability rule unchanged: the client sees the commit
-    acknowledged only after the batch's sync returned. *)
+    acknowledged only after the batch's sync returned.  The network
+    server has one committer whenever a log is attached. *)
 
 type t
 
 val create :
-  ?window:float ->
+  window:float ->
   ?on_sealed:(clock:int -> Wal_record.t list -> unit) ->
   Wal.t ->
   t
-(** Start the committer thread.  [window] (seconds, default 2ms) is how
-    long the committer holds a batch open for stragglers after the
-    first commit arrives.  [on_sealed] runs on the committer thread
-    right after a batch's seal became durable and {e before} any member
-    is notified, with the batch's seal clock and every member's
-    records: the MVCC version store publishes there, so the whole batch
-    becomes visible to snapshot readers atomically, no later than its
-    locks release.  It must not raise. *)
+(** Start the committer thread.  [window] (seconds) is how long the
+    committer holds a batch open for stragglers after the first commit
+    arrives; [0.] flushes as soon as the committer is free.
+    [on_sealed] runs on the committer thread right after a batch's seal
+    became durable and {e before} any member is notified, with the
+    batch's seal clock and every member's records: the MVCC version
+    store publishes there, so the whole batch becomes visible to
+    snapshot readers atomically, no later than its locks release.  It
+    must not raise. *)
 
 val submit :
   t ->
@@ -62,12 +64,9 @@ val submit :
     post to a shard inbox).
     @raise Invalid_argument after {!shutdown}/{!kill}. *)
 
-val pending_count : t -> int
-(** Commits submitted but not yet durable (including a batch being
-    flushed right now). *)
-
 val quiescent : t -> bool
-(** [pending_count t = 0] — checkpoints must only run here. *)
+(** No commit is submitted but not yet durable (nor a batch being
+    flushed right now) — checkpoints must only run here. *)
 
 val shutdown : t -> unit
 (** Drain: flush any pending batch, then stop and join the committer

@@ -15,7 +15,7 @@ let failure_message = function
   | Crashed -> "log crashed"
   | e -> Printexc.to_string e
 
-type fault_kind = Fail | Torn | Io
+type fault_kind = Fail | Torn | File of Durable_file.fault
 
 type fault = { kind : fault_kind; mutable remaining : int }
 
@@ -86,7 +86,10 @@ let inject_fault t spec =
     | None -> None
     | Some (`Fail_after n) -> Some { kind = Fail; remaining = n }
     | Some (`Torn_after n) -> Some { kind = Torn; remaining = n }
-    | Some (`Io_error_after n) -> Some { kind = Io; remaining = n })
+    | Some (`Io_error_after n) ->
+        Some { kind = File Durable_file.Disk_full; remaining = n }
+    | Some (`Fsync_error_after n) ->
+        Some { kind = File Durable_file.Fsync_error; remaining = n })
 
 let crashed t = t.is_crashed
 
@@ -119,7 +122,7 @@ let append_unlocked t record =
         Buffer.add_subbytes t.buf framed 0 (Bytes.length framed / 2);
       raise Crashed
   | Some ({ kind = Fail | Torn; _ } as f) -> f.remaining <- f.remaining - 1
-  | Some { kind = Io; _ } | None -> ());
+  | Some { kind = File _; _ } | None -> ());
   Buffer.add_bytes t.buf framed;
   Obs.incr t.appends;
   Obs.incr t.bytes_logged ~by:(Bytes.length framed);
@@ -129,16 +132,17 @@ let append t record = with_mu t (fun () -> append_unlocked t record)
 
 (* File I/O ----------------------------------------------------------------- *)
 
-(* Whether this file write is the one an [`Io_error_after] fault fails. *)
-let disk_full t =
+(* The file fault this write suffers, once an [`Io_error_after] or
+   [`Fsync_error_after] fault's count runs out. *)
+let file_fault t =
   match t.fault with
-  | Some ({ kind = Io; _ } as f) ->
-      if f.remaining <= 0 then true
+  | Some ({ kind = File fault; _ } as f) ->
+      if f.remaining <= 0 then Some fault
       else begin
         f.remaining <- f.remaining - 1;
-        false
+        None
       end
-  | Some { kind = Fail | Torn; _ } | None -> false
+  | Some { kind = Fail | Torn; _ } | None -> None
 
 let close_file t =
   Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) t.file;
@@ -161,7 +165,7 @@ let backing_io t f =
    this also (re)opens the append descriptor. *)
 let replace_unlocked t path =
   let replace () =
-    Durable_file.replace ~disk_full:(disk_full t) ~op:"wal.fsync" path
+    Durable_file.replace ?fault:(file_fault t) ~op:"wal.fsync" path
       (fun oc -> Buffer.output_buffer oc t.buf)
   in
   if t.backing <> Some path then replace ()
@@ -197,7 +201,7 @@ let sync_unlocked t =
       if t.written < len then
         backing_io t (fun () ->
             let fresh = Buffer.sub t.buf t.written (len - t.written) in
-            Durable_file.append ~disk_full:(disk_full t) ~op:"wal.fsync" fd
+            Durable_file.append ?fault:(file_fault t) ~op:"wal.fsync" fd
               fresh ~pos:0 ~len:(String.length fresh);
             t.written <- len));
   t.durable <- len;
@@ -439,7 +443,7 @@ let attach ?snapshot_path ?(truncate_on_checkpoint = true) t db =
            | Some _ | None -> ())))
 
 (* The after-image / tombstone records of a commit, without the sealing
-   record: the direct path seals with [Commit] below; the group-commit
+   record: a batch of one seals with [Commit]; the group-commit
    committer batches several transactions' records under one
    [Commit_group] seal. *)
 let commit_records db ~tx ~touched =

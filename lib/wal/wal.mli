@@ -16,18 +16,19 @@
     [Checkpoint_begin]/[Checkpoint] records, snapshotted to
     [?snapshot_path] (atomically, write-then-rename), and followed by a
     log truncation.  Transaction commits append their after-images
-    through {!log_batch} (wired in {!Orion_tx.Tx_manager}).  Crash
-    semantics assume checkpoints run at transaction-quiescent points;
+    through {!log_batch} (from {!Group_commit}, or inline from
+    {!Orion_tx.Tx_manager.commit}).  Crash semantics assume
+    checkpoints run at transaction-quiescent points;
     commit durability between checkpoints is entirely the log's.
 
     {2 Crash injection}
 
     {!inject_fault} arms the same fail-after-N / torn-write faults as
     {!Orion_storage.Disk.inject_fault}, so a scripted crash can land
-    between any two appends or mid-frame, plus a disk-full fault on the
-    backing file's writes; {!tear} chops bytes off the tail after the
-    fact.  {!scan} never raises on damage: it decodes
-    the longest intact prefix and reports [torn_tail]. *)
+    between any two appends or mid-frame, plus disk-full and
+    failed-fsync faults on the backing file's writes; {!tear} chops
+    bytes off the tail after the fact.  {!scan} never raises on damage:
+    it decodes the longest intact prefix and reports [torn_tail]. *)
 
 open Orion_core
 module Store = Orion_storage.Store
@@ -82,14 +83,20 @@ val truncate : t -> unit
 
 val inject_fault :
   t ->
-  [ `Fail_after of int | `Torn_after of int | `Io_error_after of int ] option ->
+  [ `Fail_after of int
+  | `Torn_after of int
+  | `Io_error_after of int
+  | `Fsync_error_after of int ]
+  option ->
   unit
 (** [`Fail_after n]: the next [n] appends succeed, the one after raises
     {!Crashed} leaving the log unchanged.  [`Torn_after n]: same, but
     half of the failing frame reaches the log (a torn tail).
     [`Io_error_after n]: the next [n] file writes (appends and replaces
     by {!sync}, {!truncate}, {!tear} and {!save_file}) succeed; the one
-    after writes half its bytes, then raises [Unix.Unix_error ENOSPC]. *)
+    after writes half its bytes, then raises [Unix.Unix_error ENOSPC].
+    [`Fsync_error_after n]: the failing write goes out whole, then its
+    fsync raises [Unix.Unix_error EIO] ({!Orion_storage.Durable_file}). *)
 
 val crashed : t -> bool
 val revive : t -> unit
@@ -173,9 +180,9 @@ val commit_records : Database.t -> tx:int -> touched:Oid.t list -> Wal_record.t 
 
 val log_batch : t -> records:Wal_record.t list -> seal:Wal_record.t -> unit
 (** Append [records], then [seal], then {!sync} — one durability point
-    for a whole batch, atomic under the log mutex.  The direct commit
-    path seals with a [Commit]; the group committer with a [Commit] or
-    [Commit_group].
+    for a whole batch, atomic under the log mutex.  A batch of one
+    (a committer's, or {!Orion_tx.Tx_manager.commit}'s) seals with a
+    [Commit]; a larger group-commit batch with a [Commit_group].
     @raise Crashed as {!append}/{!sync} (an injected fault can land on
     any append inside the batch, leaving an unsealed — hence
     replayed-as-nothing — prefix). *)

@@ -147,9 +147,9 @@ let test_held_across_blocking () =
   feed eng "t1"
     [
       acq ~site:"c.ml:1" Omutex.txsvc_core;
-      Omutex.Allow_enter "direct-commit-durability";
+      Omutex.Allow_enter "checkpoint-durability";
       Omutex.Blocking { op = "wal.fsync"; site = "f.ml:9" };
-      Omutex.Allow_exit "direct-commit-durability";
+      Omutex.Allow_exit "checkpoint-durability";
       rel Omutex.txsvc_core;
       acq ~site:"w.ml:2" Omutex.wal_log;
       Omutex.Blocking { op = "wal.fsync"; site = "f.ml:10" };

@@ -15,6 +15,7 @@ module Replica = Orion_replication.Replica
 module Client = Orion_client
 module Message = Orion_protocol.Message
 module Wal = Orion_wal.Wal
+module Recovery = Orion_wal.Recovery
 module Store_check = Orion_analysis.Store_check
 module Obs = Orion_obs.Metrics
 
@@ -205,14 +206,22 @@ let test_replica_refuses_writes () =
 
 (* Failover --------------------------------------------------------------------- *)
 
+let solo_txs () =
+  Option.value
+    (Obs.find_counter (Obs.snapshot ()) "wal.group_commit.solo_txs")
+    ~default:0
+
 let test_promote_after_kill () =
   let dir = temp_dir () in
   let p = start_primary dir in
   let r = start_replica dir p.p_addr in
+  let r_running = ref true in
   Fun.protect
     ~finally:(fun () ->
-      Server.stop r.r_server;
-      Thread.join r.r_thread;
+      if !r_running then begin
+        Server.stop r.r_server;
+        Thread.join r.r_thread
+      end;
       Replica.stop r.r_replica)
     (fun () ->
       let c = connect p.p_addr in
@@ -236,15 +245,42 @@ let test_promote_after_kill () =
       (* Zero sealed commits lost, and the node now accepts writes. *)
       Alcotest.(check int) "no sealed commits lost" 2
         (Database.count r.r_db);
+      (* The promoted node commits through a group committer, like any
+         primary, not inline on its reactor. *)
+      let solo_before = solo_txs () in
       commit_part rc "post-failover";
       Alcotest.(check int) "writes land after promotion" 3
         (Database.count r.r_db);
+      Alcotest.(check int) "post-failover commit sealed by the committer" 1
+        (solo_txs () - solo_before);
       (* Promoting twice is refused with a typed replication error. *)
       Alcotest.(check bool) "second promote refused" true
         (match Client.promote rc with
         | exception Client.Error (Message.Repl_error, _) -> true
         | _ -> false);
-      Client.close rc)
+      Client.close rc;
+      (* kill -9 the promoted node too: its acknowledged commit must
+         replay from its own log. *)
+      Server.kill r.r_server;
+      Thread.join r.r_thread;
+      r_running := false;
+      let recovered, _ =
+        Recovery.replay (Wal.load_file (r.r_db_path ^ ".wal"))
+      in
+      let names =
+        List.filter_map
+          (fun oid ->
+            match Database.find recovered oid with
+            | Some inst -> (
+                match Instance.attr inst "Name" with
+                | Some (Value.Str name) -> Some name
+                | _ -> None)
+            | None -> None)
+          (Database.instances_of recovered ~subclasses:false "Part")
+      in
+      Alcotest.(check (list string)) "post-failover commit replays"
+        [ "post-failover"; "pre-crash-1"; "pre-crash-2" ]
+        (List.sort compare names))
 
 (* Tailer edges ----------------------------------------------------------------- *)
 

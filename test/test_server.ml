@@ -650,7 +650,7 @@ let test_group_commit_batches_on_the_wire () =
   let wal = Wal.create () in
   Wal.attach wal (Eval.database env);
   let config =
-    { Server.default_config with group_commit_window = Some 0.5 }
+    { Server.default_config with group_commit_window = 0.5 }
   in
   let counter snap name =
     Option.value (Obs.find_counter snap name) ~default:0
@@ -707,7 +707,7 @@ let test_kill_recover_group_commit () =
   let acked =
     let sock = Filename.concat dir "orion.sock" in
     let config =
-      { Server.default_config with group_commit_window = Some 0.002 }
+      { Server.default_config with group_commit_window = 0.002 }
     in
     let server = Server.create ~config ~wal env (Server.Unix_path sock) in
     let thread = Thread.create Server.run server in
@@ -957,7 +957,7 @@ let test_read_only_commit_skips_log () =
   let wal = Wal.create () in
   Wal.attach wal db;
   let config =
-    { Server.default_config with group_commit_window = Some 0.002 }
+    { Server.default_config with group_commit_window = 0.002 }
   in
   let counter snap name = Option.value (Obs.find_counter snap name) ~default:0 in
   let (), _, _ =
@@ -995,12 +995,14 @@ let test_read_only_commit_skips_log () =
   in
   ()
 
-(* A log write that fails (disk full) fails its commit with an
-   [Io_error] reply naming the failure, and the log stays down: the
-   next commit is refused too (as a crashed log), the server keeps
-   serving, and only the acknowledged commit recovers — on the direct
-   path and through the group committer. *)
-let io_error_refuses_commits ~window () =
+(* A log write that fails (disk full, or an fsync that fails after a
+   complete write) fails its commit with an [Io_error] reply naming the
+   failure, and the log stays down: the next commit is refused too (as
+   a crashed log), the server keeps serving, and only the acknowledged
+   commit recovers.  With any window, the default [0.] included, the
+   one acknowledged commit went through the group committer. *)
+let io_error_refuses_commits ?(fault = `Io_error_after 0)
+    ?(names = "log I/O error: No space left on device (write)") ~window () =
   let dir = temp_dir () in
   let wal_path = Filename.concat dir "io.wal" in
   let env = Eval.create_env () in
@@ -1028,13 +1030,20 @@ let io_error_refuses_commits ~window () =
           (contains_substring msg names
           && not (contains_substring msg "Unix_error"))
   in
+  let solo_txs () =
+    Option.value
+      (Obs.find_counter (Obs.snapshot ()) "wal.group_commit.solo_txs")
+      ~default:0
+  in
   let (), _, _ =
     with_server ~config ~wal ~env (fun addr _server ->
         let c = connect addr in
+        let solo_before = solo_txs () in
         let acked = make_part c "acked" in
-        Wal.inject_fault wal (Some (`Io_error_after 0));
-        refused c "lost"
-          ~names:"log I/O error: No space left on device (write)";
+        Alcotest.(check int) "acknowledged commit sealed by the committer" 1
+          (solo_txs () - solo_before);
+        Wal.inject_fault wal (Some fault);
+        refused c "lost" ~names;
         (* The disk has room again; the log must stay down regardless. *)
         Wal.inject_fault wal None;
         refused c "after" ~names:"log crashed";
@@ -1057,7 +1066,7 @@ let test_solo_committer_seals_eagerly () =
   Wal.attach wal (Eval.database env);
   let window = 2.0 in
   let config =
-    { Server.default_config with group_commit_window = Some window }
+    { Server.default_config with group_commit_window = window }
   in
   let (), _, _ =
     with_server ~config ~wal ~env (fun addr _server ->
@@ -1144,10 +1153,13 @@ let () =
             test_solo_committer_seals_eagerly;
           Alcotest.test_case "read-only commit skips the log" `Quick
             test_read_only_commit_skips_log;
-          Alcotest.test_case "io error refuses commits (direct)" `Quick
-            (io_error_refuses_commits ~window:None);
+          Alcotest.test_case "io error refuses commits (window 0)" `Quick
+            (io_error_refuses_commits ~window:0.);
           Alcotest.test_case "io error refuses commits (group)" `Quick
-            (io_error_refuses_commits ~window:(Some 0.002));
+            (io_error_refuses_commits ~window:0.002);
+          Alcotest.test_case "fsync error refuses commits" `Quick
+            (io_error_refuses_commits ~fault:(`Fsync_error_after 0)
+               ~names:"(fsync)" ~window:0.);
         ] );
       ( "workload",
         [
