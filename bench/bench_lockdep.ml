@@ -6,14 +6,18 @@
    [Omutex.t] feeding a live Lockdep engine (held-set update, graph
    edge probe, callstack capture for the witness site).
 
-   The acceptance gate projects the disabled-mode delta onto the PR9
-   32-client disjoint server workload: at its measured per-op cost and
-   wrapped-acquisition rate, the added nanoseconds must stay under 2%
-   of an op.  The projection uses the BENCH_PR9.json baseline figures
-   (disjoint / clients-32 / domains-4 / partitions-4: 8114.8 ops/s =
-   123 us/op, 80508 partition acquires over 12206 ops) with every
-   wrapped class counted at ~3x the partition rate — 20 acquisitions
-   per op, deliberately high so the gate errs against us.
+   The acceptance gate projects the disabled-mode delta onto one op of
+   the end-to-end benchmark's `append` workload (bench/e2e): at its
+   server CPU per op and its wrapped-acquisition count, the added
+   nanoseconds must stay under 2% of an op.  The op cost is `append`'s
+   `server.cpu_us_per_op`, 143 us, from the traced run recorded at the
+   ROADMAP re-anchor of 2026-10-20 (2-vCPU host).  The acquisition
+   count is measured with `orion serve --wal --lockdep-trace`: 400
+   three-request write transactions (begin, make, commit) took 15.0
+   wrapped acquisitions each — shard.inbox 8.0 (once per reactor tick,
+   plus the committer's post), wal.group_commit 5.0, wal.log 2.0.  An
+   `append` op adds a fourth request (lock-composite), about two more
+   reactor ticks, so the projection counts 17 per op.
 
    `--quick` trims iterations for the smoke alias (the gate still
    runs); `--json PATH` writes BENCH_PR10.json-style output. *)
@@ -42,7 +46,7 @@ let bench_raw rounds =
   sink := !acc
 
 let bench_omutex rounds =
-  let m = Omutex.create Omutex.txsvc_core in
+  let m = Omutex.create Omutex.shard_inbox in
   let acc = ref 0 in
   for _ = 1 to rounds do
     Omutex.lock m;
@@ -53,10 +57,10 @@ let bench_omutex rounds =
 
 type row = { case : string; ns_per_round : float }
 
-(* BENCH_PR9.json, disjoint / clients-32 / domains-4 / partitions-4. *)
-let pr9_ops_per_s = 8114.8
-let pr9_partition_acquires_per_op = 80508.0 /. 12206.0
-let assumed_locks_per_op = 20.0 (* ~3x the partition rate: every class *)
+(* See the header: `append`'s server CPU per op, and the wrapped
+   acquisitions one such op makes. *)
+let append_cpu_us_per_op = 143.0
+let locks_per_op = 17.0
 let overhead_budget_pct = 2.0
 
 let () =
@@ -110,21 +114,18 @@ let () =
     Printf.eprintf "FAIL: single-class traffic grew the order graph\n%!";
     exit 1
   end;
-  (* The gate: project the disabled-mode delta onto the PR9 workload.
+  (* The gate: project the disabled-mode delta onto one `append` op.
      Negative deltas are measurement noise — clamp to zero rather than
      celebrate. *)
   let delta_ns = Float.max 0. (disabled -. raw) in
-  let op_ns = 1e9 /. pr9_ops_per_s in
-  let overhead_pct = delta_ns *. assumed_locks_per_op /. op_ns *. 100. in
+  let op_ns = append_cpu_us_per_op *. 1e3 in
+  let overhead_pct = delta_ns *. locks_per_op /. op_ns *. 100. in
   Printf.printf
     "disabled-mode delta: %.1f ns/lock x %.0f locks/op = %.0f ns on a %.0f \
      ns op (%.3f%%, budget %.1f%%)\n\
-     (PR9 baseline: %.1f ops/s disjoint/32-client/4-domain/4-partition, %.1f \
-     partition acquires/op)\n%!"
-    delta_ns assumed_locks_per_op
-    (delta_ns *. assumed_locks_per_op)
-    op_ns overhead_pct overhead_budget_pct pr9_ops_per_s
-    pr9_partition_acquires_per_op;
+     (append: %.0f us server CPU per op, %.0f wrapped acquisitions per op)\n%!"
+    delta_ns locks_per_op (delta_ns *. locks_per_op) op_ns overhead_pct
+    overhead_budget_pct append_cpu_us_per_op locks_per_op;
   if overhead_pct > overhead_budget_pct then begin
     Printf.eprintf "FAIL: disabled-mode overhead %.3f%% exceeds %.1f%%\n%!"
       overhead_pct overhead_budget_pct;
@@ -152,7 +153,7 @@ let () =
            "  \"projection\": { \"delta_ns_per_lock\": %.1f, \
             \"locks_per_op\": %.0f, \"op_ns\": %.0f, \"overhead_pct\": %.4f, \
             \"budget_pct\": %.1f }\n"
-           delta_ns assumed_locks_per_op op_ns overhead_pct overhead_budget_pct);
+           delta_ns locks_per_op op_ns overhead_pct overhead_budget_pct);
       Buffer.add_string buf "}\n";
       let oc = open_out path in
       Fun.protect

@@ -948,28 +948,18 @@ let serve_cmd =
                  { replica; promote_gate = ddl_gate_of_mode ddl_gate })
             env addr
         in
-        Replica.set_locked replica (fun f ->
-            Tx_service.with_lock (Server.service server) f);
-        (* Snapshot reads on this replica resolve against the service's
-           version store; the applier feeds it at each sealed commit's
-           clock. *)
-        Replica.set_mvcc replica
-          (Orion_tx.Tx_manager.version_store
-             (Server.service server).Tx_service.manager);
-        Replica.start replica;
         install_signals server;
         Format.printf "orion replica of %s listening on %a@." primary_string
           Server.pp_addr (Server.address server);
         Server.run server;
+        Replica.stop replica;
         (match Server.role server with
         | `Primary ->
             (* Promoted while serving: shut down like a primary — full
                checkpoint of the serving database, log retained for the
                replicas that will now subscribe here. *)
-            Replica.stop replica;
             close_env ~wal:false env (Some db_path)
         | `Replica | `Standalone ->
-            Replica.stop replica;
             (match Replica.failed replica with
             | Some msg -> Format.eprintf "replica: stream had failed: %s@." msg
             | None -> ());
@@ -1094,8 +1084,8 @@ let promote_cmd =
     (Cmd.info "promote"
        ~doc:
          "Promote a running read-only replica to a writable primary \
-          (failover): its applier seals, the mirrored log attaches for \
-          commit logging, and the node starts streaming to replicas of its \
+          (failover): its stream from the primary stops, the mirrored log \
+          attaches for commit logging, and the node starts streaming to replicas of its \
           own.  The old primary must not take further writes.")
     Term.(const run $ addr)
 
@@ -1296,10 +1286,10 @@ let lockdep_check_cmd =
        ~doc:
          "Replay a recorded lock-event trace through the lock-discipline \
           checker offline: rank inversions, lock-order inversions with \
-          two-site witnesses, recursive locks, same-class nesting, \
-          no-block classes held across blocking operations.  \
-          Same exit contract as $(b,orion analyze): 2 on errors, 1 on \
-          warnings, 0 clean.")
+          two-site witnesses, recursive locks, same-class nesting; plus \
+          an info finding for each class whose mutexes only ever one \
+          thread took.  Same exit contract as $(b,orion analyze): 2 on \
+          errors, 1 on warnings, 0 otherwise (info never fails).")
     Term.(const run $ trace $ hierarchy $ sexp)
 
 let () =
@@ -1307,7 +1297,7 @@ let () =
      not just serve's --lockdep flag. *)
   Orion_analysis.Lockdep.install_from_env ();
   let doc = "Composite objects a la ORION (Kim, Bertino & Garza, SIGMOD 1989)" in
-  let info = Cmd.info "orion" ~version:"1.13.0" ~doc in
+  let info = Cmd.info "orion" ~version:"1.14.0" ~doc in
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
     (Cmd.eval

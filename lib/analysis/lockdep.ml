@@ -17,20 +17,13 @@ module SA = Schema_analysis
 module Omutex = Orion_util.Omutex
 module Obs = Orion_obs.Metrics
 
-type lclass = { name : string; rank : int; no_block : bool }
+type lclass = { name : string; rank : int }
 
-type levent =
-  | L_acquire of lclass * int * string
-  | L_release of lclass * int
-  | L_blocking of string * string
-  | L_allow of bool
+type levent = L_acquire of lclass * int * string | L_release of lclass * int
 
 type held = { h_cls : lclass; h_inst : int; h_site : string }
 
-type tstate = {
-  mutable held : held list;  (* innermost first *)
-  mutable allow : int;
-}
+type tstate = { mutable held : held list (* innermost first *) }
 
 type engine = {
   emu : Mutex.t;
@@ -39,6 +32,9 @@ type engine = {
       (* (outer class, inner class) -> witness sites of the first
          observation (outer's acquisition site, inner's) *)
   dedup : (string, unit) Hashtbl.t;
+  takers : (string * string, (string, unit) Hashtbl.t) Hashtbl.t;
+      (* (class, instance) -> the threads that ever took it; an
+         instance is qualified by its thread key's process *)
   mutable findings_rev : SA.finding list;
   trace : out_channel option;
   trace_buf : Buffer.t;
@@ -55,6 +51,7 @@ let create_engine ?trace () =
     threads = Hashtbl.create 16;
     edges = Hashtbl.create 64;
     dedup = Hashtbl.create 16;
+    takers = Hashtbl.create 16;
     findings_rev = [];
     trace =
       Option.map
@@ -90,7 +87,7 @@ let state_of eng key =
   match Hashtbl.find_opt eng.threads key with
   | Some st -> st
   | None ->
-      let st = { held = []; allow = 0 } in
+      let st = { held = [] } in
       Hashtbl.replace eng.threads key st;
       st
 
@@ -220,56 +217,82 @@ let on_release st (cls : lclass) inst =
   in
   st.held <- drop st.held
 
-let on_blocking eng st op site =
-  if st.allow = 0 then
-    List.iter
-      (fun h ->
-        if h.h_cls.no_block then
-          add_finding eng
-            ~dedup_key:("blocking:" ^ h.h_cls.name ^ ":" ^ op)
-            {
-              SA.severity = SA.Warning;
-              code = "held-across-blocking";
-              cls = h.h_cls.name;
-              path = [ h.h_cls.name ];
-              detail =
-                Printf.sprintf "%s (taken at %s) held across %s at %s"
-                  h.h_cls.name h.h_site op site;
-            })
-      st.held
+(* Thread keys are "pid.domain.thread": two processes' instance
+   numbers are distinct mutexes. *)
+let process_of key =
+  match String.index_opt key '.' with
+  | Some i -> String.sub key 0 i
+  | None -> key
 
-let process eng st = function
-  | L_acquire (cls, inst, site) -> on_acquire eng st cls inst site
+let note_taker eng ~key (cls : lclass) inst =
+  let k = (cls.name, process_of key ^ "#" ^ string_of_int inst) in
+  let threads =
+    match Hashtbl.find_opt eng.takers k with
+    | Some set -> set
+    | None ->
+        let set = Hashtbl.create 2 in
+        Hashtbl.replace eng.takers k set;
+        set
+  in
+  Hashtbl.replace threads key ()
+
+let process eng ~key st = function
+  | L_acquire (cls, inst, site) ->
+      note_taker eng ~key cls inst;
+      on_acquire eng st cls inst site
   | L_release (cls, inst) -> on_release st cls inst
-  | L_blocking (op, site) -> on_blocking eng st op site
-  | L_allow true -> st.allow <- st.allow + 1
-  | L_allow false -> st.allow <- max 0 (st.allow - 1)
+
+(* A class each of whose mutexes only ever one thread took: the mutex
+   serialises nothing.  Informational — it never fails a run, and it is
+   only as strong as the traffic the trace covers. *)
+let single_thread_findings eng =
+  Mutex.lock eng.emu;
+  let widest = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun (cls, _) threads ->
+      let n, w = Option.value (Hashtbl.find_opt widest cls) ~default:(0, 0) in
+      Hashtbl.replace widest cls (n + 1, max w (Hashtbl.length threads)))
+    eng.takers;
+  Mutex.unlock eng.emu;
+  Hashtbl.fold
+    (fun cls (instances, w) acc ->
+      if w = 1 then
+        {
+          SA.severity = SA.Info;
+          code = "single-thread-class";
+          cls;
+          path = [ cls ];
+          detail =
+            Printf.sprintf
+              "each of %s's %d mutex(es) was only ever taken by one thread: \
+               it serialises nothing"
+              cls instances;
+        }
+        :: acc
+      else acc)
+    widest []
+  |> List.sort (fun a b -> String.compare a.SA.cls b.SA.cls)
 
 (* Live events ------------------------------------------------------------- *)
 
-let lclass_of k =
-  { name = Omutex.name k; rank = Omutex.rank k; no_block = Omutex.no_block k }
+let lclass_of k = { name = Omutex.name k; rank = Omutex.rank k }
 
 let levent_of = function
   | Omutex.Acquire { cls; inst; site } -> L_acquire (lclass_of cls, inst, site)
   | Omutex.Release { cls; inst } -> L_release (lclass_of cls, inst)
-  | Omutex.Blocking { op; site } -> L_blocking (op, site)
-  | Omutex.Allow_enter _ -> L_allow true
-  | Omutex.Allow_exit _ -> L_allow false
 
-(* Trace lines.  [C name rank no_block] headers interleave
-   lazily (emitted before a class's first [A]), so appending several
-   processes to one file stays parseable; keys are pid-qualified for
-   the same reason.  No token ever contains a space: class names and
-   ops are dotted/dashed identifiers, sites are "file.ml:N". *)
+(* Trace lines.  [C name rank] headers interleave lazily (emitted
+   before a class's first [A]), so appending several processes to one
+   file stays parseable; keys are pid-qualified for the same reason.
+   No token ever contains a space: class names are dotted identifiers,
+   sites are "file.ml:N". *)
 
 let write_trace eng key ev =
   let buf = eng.trace_buf in
   let ensure_class (c : lclass) =
     if not (Hashtbl.mem eng.traced_classes c.name) then begin
       Hashtbl.replace eng.traced_classes c.name ();
-      Printf.bprintf buf "C %s %d %d\n" c.name c.rank
-        (if c.no_block then 1 else 0)
+      Printf.bprintf buf "C %s %d\n" c.name c.rank
     end
   in
   match ev with
@@ -279,9 +302,6 @@ let write_trace eng key ev =
   | L_release (c, inst) ->
       ensure_class c;
       Printf.bprintf buf "R %s %s %d\n" key c.name inst
-  | L_blocking (op, site) -> Printf.bprintf buf "B %s %s %s\n" key op site
-  | L_allow enter ->
-      Printf.bprintf buf "X %s %s\n" key (if enter then "+" else "-")
 
 let feed eng ~key lev =
   Mutex.lock eng.emu;
@@ -292,7 +312,7 @@ let feed eng ~key lev =
         write_trace eng key lev;
         if Buffer.length eng.trace_buf >= 16384 then drain_trace eng
       end;
-      process eng (state_of eng key) lev)
+      process eng ~key (state_of eng key) lev)
 
 let handle eng ~key ev = feed eng ~key (levent_of ev)
 
@@ -401,20 +421,13 @@ let check_trace path =
            incr lineno;
            let n = !lineno in
            match String.split_on_char ' ' line with
-           | [ "C"; cname; r; nb ] ->
-               Hashtbl.replace classes cname
-                 {
-                   name = cname;
-                   rank = int_of n r;
-                   no_block = String.equal nb "1";
-                 }
+           | [ "C"; cname; r ] ->
+               Hashtbl.replace classes cname { name = cname; rank = int_of n r }
            | [ "A"; key; cname; inst; site ] ->
                feed eng ~key
                  (L_acquire (cls_of n cname, int_of n inst, site))
            | [ "R"; key; cname; inst ] ->
                feed eng ~key (L_release (cls_of n cname, int_of n inst))
-           | [ "B"; key; op; site ] -> feed eng ~key (L_blocking (op, site))
-           | [ "X"; key; pm ] -> feed eng ~key (L_allow (String.equal pm "+"))
            | [] | [ "" ] -> ()
            | _ ->
                failwith
@@ -422,4 +435,4 @@ let check_trace path =
                     path n line)
          done
        with End_of_file -> ());
-      engine_findings eng)
+      engine_findings eng @ single_thread_findings eng)

@@ -19,9 +19,11 @@
       re-acquired.
     - {b same-class-nesting} (error): two instances of one class held
       at once.
-    - {b held-across-blocking} (warning): a no-block class held across
-      a declared blocking operation, outside any
-      {!Orion_util.Omutex.allow_blocking} bracket. *)
+
+    Besides the detectors, the engine records which threads took each
+    mutex.  {!single_thread_findings} names every class whose mutexes
+    were each only ever taken by one thread — a mutex that serialises
+    nothing, and a candidate for deletion. *)
 
 type engine
 (** One checker instance: held-sets, may-precede graph, findings.
@@ -50,7 +52,13 @@ val tracer_of : engine -> Orion_util.Omutex.event -> unit
     a private engine. *)
 
 val engine_findings : engine -> Schema_analysis.finding list
-(** Deduplicated findings so far, most severe first. *)
+(** Deduplicated detector findings so far, most severe first. *)
+
+val single_thread_findings : engine -> Schema_analysis.finding list
+(** One [Info] finding, code [single-thread-class], for each class
+    every mutex of which only one thread ever took (a mutex is a class
+    instance within one process; thread keys name the process).  Never
+    affects {!exit_code}. *)
 
 val edge_count : engine -> int
 (** Distinct may-precede edges observed (the [lockdep.edges] gauge). *)
@@ -79,7 +87,8 @@ val install_from_env : unit -> unit
 (** {1 Offline replay} *)
 
 val check_trace : string -> Schema_analysis.finding list
-(** Replay a [--lockdep-trace] file through a fresh engine.  Raises
+(** Replay a [--lockdep-trace] file through a fresh engine: its
+    detector findings, then its {!single_thread_findings}.  Raises
     [Failure] with file/line context on an unparseable line. *)
 
 val exit_code : Schema_analysis.finding list -> int

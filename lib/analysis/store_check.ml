@@ -424,7 +424,7 @@ let repair_wal_tail path =
         let backup = path ^ ".bak" in
         let write_file p s =
           try
-            Orion_storage.Durable_file.replace ~op:"wal.fsync" p (fun oc ->
+            Orion_storage.Durable_file.replace p (fun oc ->
                 output_string oc s)
           with Unix.Unix_error (e, _, _) ->
             raise (Sys_error (p ^ ": " ^ Unix.error_message e))

@@ -194,26 +194,8 @@ let repl_subscribe t ~from_lsn =
   | Message.Repl_ok { lsn } -> lsn
   | _ -> unexpected "repl-subscribe"
 
-let next_push t =
-  if not t.alive then raise (Disconnected "connection already closed");
-  match Queue.take_opt t.notices with
-  | Some p -> p
-  | None -> (
-      match read_msg t with
-      | Message.Push p -> p
-      | Message.Reply _ -> fail t "reply arrived with no request in flight")
-
-let send t req =
-  if not t.alive then raise (Disconnected "connection already closed");
-  match write_all t (Frame.encode (Message.encode_request req)) with
-  | () -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-      fail t ("write: " ^ Unix.error_message e)
-
-let repl_ack t ~lsn = send t (Message.Repl_ack { lsn })
-
 let shutdown t =
-  (* Wake a thread blocked in {!next_push}: the read sees EOF and
+  (* Wake a thread blocked on this connection: the read sees EOF and
      raises [Disconnected] (safer than closing the fd under it). *)
   try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
 

@@ -93,8 +93,9 @@ val notices : t -> Message.push list
     After {!repl_subscribe} the connection switches from
     request/reply to streaming: the server pushes
     [Repl_frames]/[Repl_heartbeat] unprompted and the only legal
-    upstream traffic is {!repl_ack} (the protocol's one no-reply
-    request).  Consume the stream with {!next_push}. *)
+    upstream traffic is [Repl_ack] (the protocol's one no-reply
+    request).  A replica server consumes the stream without this
+    blocking client ({!Orion_replication.Replica}). *)
 
 val repl_subscribe : t -> from_lsn:int -> int
 (** Subscribe to the primary's WAL stream from byte offset [from_lsn];
@@ -102,18 +103,9 @@ val repl_subscribe : t -> from_lsn:int -> int
     @raise Error with [Repl_error] if the server is not a streaming
     primary or the LSN is out of range *)
 
-val next_push : t -> Message.push
-(** Block until the next push arrives (already-queued notices first).
-    @raise Disconnected if a reply frame arrives instead — only legal
-    with no request in flight, i.e. on a subscribed stream. *)
-
-val repl_ack : t -> lsn:int -> unit
-(** Report durable progress upstream — fire-and-forget, never blocks
-    on a reply. *)
-
 val shutdown : t -> unit
 (** Shut the socket down both ways without closing the fd — wakes a
-    thread blocked in {!next_push} with {!Disconnected}.  Safe from
+    thread blocked on this connection with {!Disconnected}.  Safe from
     another thread; the owner still calls {!close}. *)
 
 val promote : t -> unit

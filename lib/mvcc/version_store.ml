@@ -1,5 +1,4 @@
 module Obs = Orion_obs.Metrics
-module Omutex = Orion_util.Omutex
 open Orion_core
 
 type image = { inst : Instance.t; rrefs : Rref.t list }
@@ -18,15 +17,12 @@ type t = {
   pins : int Oid.Tbl.t;  (* oid -> dirty-writer refcount *)
   dirty : (int, unit Oid.Tbl.t) Hashtbl.t;  (* tx id -> oids it pinned *)
   snaps : (int, int) Hashtbl.t;  (* snapshot id -> begin clock *)
-  mu : Omutex.t;
   published : Obs.counter;
   pruned : Obs.counter;
   reads : Obs.counter;
   fallthroughs : Obs.counter;
   snapshots : Obs.counter;
 }
-
-let with_mu t f = Omutex.with_lock t.mu f
 
 let create db =
   let t =
@@ -36,7 +32,6 @@ let create db =
       pins = Oid.Tbl.create 64;
       dirty = Hashtbl.create 16;
       snaps = Hashtbl.create 8;
-      mu = Omutex.create Omutex.mvcc_version_store;
       published = Obs.counter "mvcc.published";
       pruned = Obs.counter "mvcc.pruned";
       reads = Obs.counter "mvcc.reads";
@@ -49,7 +44,7 @@ let create db =
   Obs.gauge "mvcc.sealed_clock" (fun () -> t.sealed_clock);
   t
 
-let current_clock t = with_mu t (fun () -> t.sealed_clock)
+let current_clock t = t.sealed_clock
 
 let pinned t oid = Oid.Tbl.mem t.pins oid
 
@@ -81,7 +76,7 @@ let drop_if_redundant t ~watermark oid chain =
       Oid.Tbl.remove t.chains oid
   | _ -> ()
 
-let gc_unlocked t =
+let gc t =
   let w = watermark t in
   let doomed = ref [] in
   Oid.Tbl.iter
@@ -95,72 +90,67 @@ let gc_unlocked t =
     t.chains;
   List.iter (fun oid -> Oid.Tbl.remove t.chains oid) !doomed
 
-let gc t = with_mu t (fun () -> gc_unlocked t)
-
 let entry_of = function Some img -> Present img | None -> Tombstone
 
 let note_base ?tx t oid base =
-  with_mu t (fun () ->
-      if not (Oid.Tbl.mem t.chains oid) then
-        Oid.Tbl.replace t.chains oid { entries = [ (0, entry_of base) ] };
-      match tx with
-      | None -> ()
-      | Some tx ->
-          let set =
-            match Hashtbl.find_opt t.dirty tx with
-            | Some set -> set
-            | None ->
-                let set = Oid.Tbl.create 8 in
-                Hashtbl.replace t.dirty tx set;
-                set
-          in
-          if not (Oid.Tbl.mem set oid) then begin
-            Oid.Tbl.replace set oid ();
-            let n = Option.value ~default:0 (Oid.Tbl.find_opt t.pins oid) in
-            Oid.Tbl.replace t.pins oid (n + 1)
-          end)
+  if not (Oid.Tbl.mem t.chains oid) then
+    Oid.Tbl.replace t.chains oid { entries = [ (0, entry_of base) ] };
+  match tx with
+  | None -> ()
+  | Some tx ->
+      let set =
+        match Hashtbl.find_opt t.dirty tx with
+        | Some set -> set
+        | None ->
+            let set = Oid.Tbl.create 8 in
+            Hashtbl.replace t.dirty tx set;
+            set
+      in
+      if not (Oid.Tbl.mem set oid) then begin
+        Oid.Tbl.replace set oid ();
+        let n = Option.value ~default:0 (Oid.Tbl.find_opt t.pins oid) in
+        Oid.Tbl.replace t.pins oid (n + 1)
+      end
 
 let settle t ~tx =
-  with_mu t (fun () ->
-      match Hashtbl.find_opt t.dirty tx with
-      | None -> ()
-      | Some set ->
-          Hashtbl.remove t.dirty tx;
-          let w = watermark t in
-          Oid.Tbl.iter
-            (fun oid () ->
-              (match Oid.Tbl.find_opt t.pins oid with
-              | Some n when n > 1 -> Oid.Tbl.replace t.pins oid (n - 1)
-              | Some _ -> Oid.Tbl.remove t.pins oid
-              | None -> ());
-              match Oid.Tbl.find_opt t.chains oid with
-              | Some chain ->
-                  prune_chain t ~watermark:w chain;
-                  drop_if_redundant t ~watermark:w oid chain
-              | None -> ())
-            set)
+  match Hashtbl.find_opt t.dirty tx with
+  | None -> ()
+  | Some set ->
+      Hashtbl.remove t.dirty tx;
+      let w = watermark t in
+      Oid.Tbl.iter
+        (fun oid () ->
+          (match Oid.Tbl.find_opt t.pins oid with
+          | Some n when n > 1 -> Oid.Tbl.replace t.pins oid (n - 1)
+          | Some _ -> Oid.Tbl.remove t.pins oid
+          | None -> ());
+          match Oid.Tbl.find_opt t.chains oid with
+          | Some chain ->
+              prune_chain t ~watermark:w chain;
+              drop_if_redundant t ~watermark:w oid chain
+          | None -> ())
+        set
 
 let publish t ~clock items =
-  with_mu t (fun () ->
-      if clock > t.sealed_clock then t.sealed_clock <- clock;
-      let w = watermark t in
-      List.iter
-        (fun (oid, img) ->
-          let chain =
-            match Oid.Tbl.find_opt t.chains oid with
-            | Some chain -> chain
-            | None ->
-                (* Defensive: writers note_base before publishing, so a
-                   missing chain means nobody older can be watching. *)
-                let chain = { entries = [] } in
-                Oid.Tbl.replace t.chains oid chain;
-                chain
-          in
-          chain.entries <- (clock, entry_of img) :: chain.entries;
-          Obs.incr t.published;
-          prune_chain t ~watermark:w chain;
-          drop_if_redundant t ~watermark:w oid chain)
-        items)
+  if clock > t.sealed_clock then t.sealed_clock <- clock;
+  let w = watermark t in
+  List.iter
+    (fun (oid, img) ->
+      let chain =
+        match Oid.Tbl.find_opt t.chains oid with
+        | Some chain -> chain
+        | None ->
+            (* Defensive: writers note_base before publishing, so a
+               missing chain means nobody older can be watching. *)
+            let chain = { entries = [] } in
+            Oid.Tbl.replace t.chains oid chain;
+            chain
+      in
+      chain.entries <- (clock, entry_of img) :: chain.entries;
+      Obs.incr t.published;
+      prune_chain t ~watermark:w chain;
+      drop_if_redundant t ~watermark:w oid chain)
+    items
 
 let publish_records t ~clock records =
   let items =
@@ -178,33 +168,30 @@ let publish_records t ~clock records =
   publish t ~clock items
 
 let read t ~clock oid =
-  with_mu t (fun () ->
-      Obs.incr t.reads;
-      match Oid.Tbl.find_opt t.chains oid with
-      | None ->
-          Obs.incr t.fallthroughs;
-          `Fallthrough
-      | Some chain ->
-          let rec at = function
-            | [] -> `Absent
-            | (c, Present img) :: _ when c <= clock -> `Image img
-            | (c, Tombstone) :: _ when c <= clock -> `Absent
-            | _ :: rest -> at rest
-          in
-          at chain.entries)
+  Obs.incr t.reads;
+  match Oid.Tbl.find_opt t.chains oid with
+  | None ->
+      Obs.incr t.fallthroughs;
+      `Fallthrough
+  | Some chain ->
+      let rec at = function
+        | [] -> `Absent
+        | (c, Present img) :: _ when c <= clock -> `Image img
+        | (c, Tombstone) :: _ when c <= clock -> `Absent
+        | _ :: rest -> at rest
+      in
+      at chain.entries
 
 let open_snap t ~id =
-  with_mu t (fun () ->
-      Obs.incr t.snapshots;
-      Hashtbl.replace t.snaps id t.sealed_clock;
-      t.sealed_clock)
+  Obs.incr t.snapshots;
+  Hashtbl.replace t.snaps id t.sealed_clock;
+  t.sealed_clock
 
 let close_snap t ~id =
-  with_mu t (fun () ->
-      if Hashtbl.mem t.snaps id then begin
-        Hashtbl.remove t.snaps id;
-        gc_unlocked t
-      end)
+  if Hashtbl.mem t.snaps id then begin
+    Hashtbl.remove t.snaps id;
+    gc t
+  end
 
-let open_snaps t = with_mu t (fun () -> Hashtbl.length t.snaps)
-let chain_count t = with_mu t (fun () -> Oid.Tbl.length t.chains)
+let open_snaps t = Hashtbl.length t.snaps
+let chain_count t = Oid.Tbl.length t.chains

@@ -43,9 +43,8 @@
     GC runs incrementally at publish/settle time and as a sweep when a
     snapshot closes.
 
-    All operations are thread-safe (internal mutex, a leaf in the lock
-    order: callers may hold the service lock; the group-commit
-    committer thread publishes without it). *)
+    The store has no mutex: one thread owns it — in the server, the
+    reactor, which also publishes each sealed group-commit batch. *)
 
 open Orion_core
 

@@ -11,8 +11,11 @@ let bucket_bounds =
          List.map (fun m -> m *. (10. ** float_of_int exp)) per_decade)
        [ -5; -4; -3; -2; -1; 0; 1 ])
 
+type measure = Seconds | Count
+
 type histogram = {
   h_name : string;
+  h_unit : measure;
   buckets : int array;  (* one per bound, plus overflow at the end *)
   mutable h_count : int;
   mutable h_sum : float;
@@ -34,14 +37,14 @@ let create_registry () : registry =
 let default = create_registry ()
 
 (* The registry table itself is shared across threads (the reactor,
-   the group committer, a replica's applier and client threads in tests
-   register and snapshot concurrently), so structural mutations and
+   the group committer and client threads in tests register and
+   snapshot concurrently), so structural mutations and
    iteration take the registry mutex.  Instrument *updates* stay
    lock-free: every thread runs on the one domain, and an increment
    has no allocation or poll point between its read and its write, so
    no thread switch can split it.  The mutex is ranked (obs.registry):
    snapshot holds it while calling gauge closures, which read the
-   tailer and the WAL, so those classes rank strictly above it. *)
+   WAL, so the log's class ranks strictly above it. *)
 let with_registry registry f = Omutex.with_lock registry.mu f
 
 let register ?(registry = default) name instrument =
@@ -64,10 +67,11 @@ let gauge ?registry name read = register ?registry name (Gauge read)
 
 (* Histograms ------------------------------------------------------------------- *)
 
-let histogram ?registry name =
+let histogram ?registry ?(unit = Seconds) name =
   let h =
     {
       h_name = name;
+      h_unit = unit;
       buckets = Array.make (Array.length bucket_bounds + 1) 0;
       h_count = 0;
       h_sum = 0.;
@@ -98,6 +102,7 @@ let reset_histogram h =
   h.h_max <- 0.
 
 type histogram_summary = {
+  unit : measure;
   count : int;
   sum : float;
   max : float;
@@ -129,6 +134,7 @@ let summarize (h : histogram) =
   (* Copy the live bucket array: the summary is a snapshot, not a view. *)
   let buckets = Array.copy h.buckets in
   {
+    unit = h.h_unit;
     count = h.h_count;
     sum = h.h_sum;
     max = h.h_max;
@@ -156,6 +162,7 @@ let merge_summaries summaries =
         s.buckets)
     summaries;
   {
+    unit = (match summaries with s :: _ -> s.unit | [] -> Seconds);
     count = !count;
     sum = !sum;
     max = !max_v;
@@ -208,6 +215,13 @@ let find_gauge s name = List.assoc_opt name s.gauges
 let find_histogram s name = List.assoc_opt name s.histograms
 
 let ms v = v *. 1e3
+
+(* A value of a histogram in its unit: durations in milliseconds,
+   counts as they are. *)
+let show unit v =
+  match unit with
+  | Seconds -> Printf.sprintf "%.3fms" (ms v)
+  | Count -> Printf.sprintf "%g" v
 
 (* Labels ----------------------------------------------------------------------- *)
 
@@ -276,18 +290,23 @@ let pp_rates ppf r =
     (List.filter (fun (_, v) -> v <> 0) r.gauge_values);
   List.iter
     (fun (n, v, h) ->
-      Format.fprintf ppf "%-40s %+.1f/s p95=%.3fms@," n v (ms h.p95))
+      Format.fprintf ppf "%-40s %+.1f/s p95=%s@," n v (show h.unit h.p95))
     r.histogram_rates;
   Format.fprintf ppf "@]"
 
 (* The non-empty buckets of a summary, rendered compactly as
-   [<=UPPERms:count] pairs (the overflow bucket prints as [inf]). *)
+   [<=UPPER:count] pairs (the overflow bucket prints as [inf]). *)
 let pp_buckets ppf h =
   Array.iteri
     (fun i n ->
       if n > 0 then
         if i < Array.length bucket_bounds then
-          Format.fprintf ppf " <=%gms:%d" (ms bucket_bounds.(i)) n
+          let upper =
+            match h.unit with
+            | Seconds -> Printf.sprintf "%gms" (ms bucket_bounds.(i))
+            | Count -> Printf.sprintf "%g" bucket_bounds.(i)
+          in
+          Format.fprintf ppf " <=%s:%d" upper n
         else Format.fprintf ppf " inf:%d" n)
     h.buckets
 
@@ -297,9 +316,9 @@ let pp_snapshot ppf s =
   List.iter (fun (n, v) -> Format.fprintf ppf "%-32s %d (gauge)@," n v) s.gauges;
   List.iter
     (fun (n, h) ->
-      Format.fprintf ppf
-        "%-32s n=%d p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms@," n h.count
-        (ms h.p50) (ms h.p95) (ms h.p99) (ms h.max);
+      let v = show h.unit in
+      Format.fprintf ppf "%-32s n=%d p50=%s p95=%s p99=%s max=%s@," n h.count
+        (v h.p50) (v h.p95) (v h.p99) (v h.max);
       if h.count > 0 then
         Format.fprintf ppf "%-32s buckets:%a@," "" pp_buckets h)
     s.histograms;

@@ -17,8 +17,8 @@
     traffic.
 
     Thread-safety: counter and histogram updates are plain field
-    writes.  The server runs all of its threads — the reactor, the
-    group committer, a replica's applier — on one domain, and an
+    writes.  The server runs both of its threads — the reactor and the
+    group committer — on one domain, and an
     increment has no allocation or poll point between its read and its
     write, so no thread switch can split it.  Registry {e structure} —
     registering an instrument, iterating at snapshot/reset time — is
@@ -56,21 +56,27 @@ val gauge : ?registry:registry -> string -> (unit -> int) -> unit
 
 type histogram
 
-val histogram : ?registry:registry -> string -> histogram
-(** A latency histogram over fixed log-spaced buckets from 10µs to
-    ~100s, registered under the name. *)
+(** What a histogram's observations measure: durations in seconds
+    (printed in milliseconds), or plain counts (printed as they are). *)
+type measure = Seconds | Count
+
+val histogram : ?registry:registry -> ?unit:measure -> string -> histogram
+(** A histogram over fixed log-spaced buckets from 10µs to ~100s (or
+    from 0.00001 to ~100 of a count), registered under the name.
+    [unit] defaults to [Seconds]. *)
 
 val observe : histogram -> float -> unit
-(** Record one duration, in seconds. *)
+(** Record one observation, in the histogram's unit. *)
 
 val histogram_count : histogram -> int
 val reset_histogram : histogram -> unit
 
 type histogram_summary = {
+  unit : measure;
   count : int;
-  sum : float;  (** seconds *)
-  max : float;  (** seconds *)
-  p50 : float;  (** seconds, estimated from bucket upper bounds *)
+  sum : float;  (** in [unit] *)
+  max : float;  (** in [unit] *)
+  p50 : float;  (** in [unit], estimated from bucket upper bounds *)
   p95 : float;
   p99 : float;
   buckets : int array;
@@ -147,7 +153,8 @@ val pp_rates : Format.formatter -> rates -> unit
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 (** Human-readable rendering: counters and gauges one per line,
-    histograms with count/p50/p95/p99/max in milliseconds. *)
+    histograms with count/p50/p95/p99/max — durations in milliseconds,
+    counts unscaled. *)
 
 val one_line : snapshot -> string
 (** A compact single-line digest (for the server's periodic metrics

@@ -9,8 +9,9 @@ module R = Orion_storage.Bytes_rw.Reader
    v4: snapshot reads ([Begin_snapshot]/[End_snapshot] plus the
    snapshot-scoped [Read_attr]/[Ancestors_of] reads) and the [Value]
    result payload; later the [Io_error] code (tag 11), which a peer
-   built before it decodes as a corrupt frame. *)
-let version = 4
+   built before it decodes as a corrupt frame.
+   v5: histogram summaries carry their unit (seconds or a count). *)
+let version = 5
 
 type access = Read | Update
 
@@ -320,6 +321,7 @@ let read_v r =
    [Orion_obs.Metrics.snapshot]. *)
 
 let write_summary w (h : Orion_obs.Metrics.histogram_summary) =
+  W.int w (match h.unit with Seconds -> 0 | Count -> 1);
   W.int w h.count;
   W.float w h.sum;
   W.float w h.max;
@@ -331,6 +333,12 @@ let write_summary w (h : Orion_obs.Metrics.histogram_summary) =
   write_list w W.int (Array.to_list h.buckets)
 
 let read_summary r : Orion_obs.Metrics.histogram_summary =
+  let unit : Orion_obs.Metrics.measure =
+    match R.int r with
+    | 0 -> Seconds
+    | 1 -> Count
+    | tag -> corrupt "bad histogram unit %d" tag
+  in
   let count = R.int r in
   let sum = R.float r in
   let max = R.float r in
@@ -338,7 +346,7 @@ let read_summary r : Orion_obs.Metrics.histogram_summary =
   let p95 = R.float r in
   let p99 = R.float r in
   let buckets = Array.of_list (read_list r R.int) in
-  { count; sum; max; p50; p95; p99; buckets }
+  { unit; count; sum; max; p50; p95; p99; buckets }
 
 let write_snapshot w (s : Orion_obs.Metrics.snapshot) =
   let named f w (name, v) =

@@ -5,15 +5,29 @@ module Wal_record = Orion_wal.Wal_record
 module Store = Orion_storage.Store
 module Disk = Orion_storage.Disk
 module Message = Orion_protocol.Message
+module Frame = Orion_protocol.Frame
 module Addr = Orion_protocol.Addr
 module Schema = Orion_schema.Schema
 module Version_store = Orion_mvcc.Version_store
 
 exception Fatal of string
 
-(* Raised inside the stream loop when the replica is sealed (promoted
-   or stopping) — unwinds to the loop exit, never escapes. *)
-exception Sealed_exn
+(* The connection lost or refused: redial after the backoff. *)
+exception Link_down of string
+
+(* The upstream connection, driven without ever blocking: the reactor
+   selects on its descriptor and calls {!service} each tick. *)
+type conn = {
+  fd : Unix.file_descr;
+  splitter : Frame.Splitter.t;
+  out : Buffer.t;  (* request bytes not yet accepted by the socket *)
+}
+
+type link =
+  | Down of float  (* redial at this time *)
+  | Connecting of Unix.file_descr  (* non-blocking connect in flight *)
+  | Up of conn
+  | Stopped  (* promoted, stopped or failed: never redial *)
 
 type t = {
   primary : Addr.t;
@@ -23,14 +37,13 @@ type t = {
   mutable mirror : Store.t option;  (** physical replay target *)
   mutable serving : Database.t option;  (** built at the first sealed checkpoint *)
   pending : (int, Wal_record.t list) Hashtbl.t;  (** tx → ops, newest first *)
-  mutable sealed : bool;
   mutable failed : string option;
-  mutable locked : (unit -> unit) -> unit;
-  mutable client : Orion_client.t option;
+  mutable link : link;
+  mutable backoff : float;  (** the next redial delay: 0.2 s doubling to 2 s *)
+  chunk : Bytes.t;  (** read buffer: at most one chunk per tick *)
   mutable mvcc : Version_store.t option;
       (** feeds replica-side snapshot reads; installed by the server
-          once the serving database exists *)
-  mutable thread : Thread.t option;
+          when it is created *)
   mutable checkpoints : int;
   applied_frames : Obs.counter;
   applied_bytes : Obs.counter;
@@ -48,12 +61,11 @@ let create ~primary ?(client_name = "orion-replica") ~wal ~db_path () =
       mirror = None;
       serving = None;
       pending = Hashtbl.create 16;
-      sealed = false;
       failed = None;
-      locked = (fun f -> f ());
-      client = None;
+      link = Down 0.;
+      backoff = 0.2;
+      chunk = Bytes.create 65536;
       mvcc = None;
-      thread = None;
       checkpoints = 0;
       applied_frames = Obs.counter "repl.applied_frames";
       applied_bytes = Obs.counter "repl.applied_bytes";
@@ -63,7 +75,7 @@ let create ~primary ?(client_name = "orion-replica") ~wal ~db_path () =
   in
   Obs.gauge "repl.applied_lsn" (fun () -> Wal.size t.wal);
   Obs.gauge "repl.connected" (fun () ->
-      if t.client <> None && not t.sealed then 1 else 0);
+      match t.link with Up _ -> 1 | Down _ | Connecting _ | Stopped -> 0);
   t
 
 let db t =
@@ -74,9 +86,7 @@ let db t =
 let wal t = t.wal
 let db_path t = t.db_path
 let applied_lsn t = Wal.size t.wal
-let sealed t = t.sealed
 let checkpoints t = t.checkpoints
-let set_locked t locked = t.locked <- locked
 let set_mvcc t vs = t.mvcc <- Some vs
 
 (* {1 Apply} *)
@@ -218,12 +228,8 @@ let on_checkpoint t =
   | Some db -> resync db mirror);
   t.checkpoints <- t.checkpoints + 1;
   (* The replica's own durable snapshot, byte-identical to the
-     primary's: a promoted replica restarts from it like any primary.
-     The applier holds the service lock here (records apply under it),
-     so the snapshot's fsync is the replica's side of the primary's
-     checkpoint-durability exemption. *)
-  Orion_util.Omutex.allow_blocking "checkpoint-durability" (fun () ->
-      Store.save_file mirror t.db_path)
+     primary's: a promoted replica restarts from it like any primary. *)
+  Store.save_file mirror t.db_path
 
 let apply_record t r =
   (match r with
@@ -285,114 +291,193 @@ let replay_local t =
 
 (* {1 Streaming} *)
 
+let send conn req =
+  Buffer.add_bytes conn.out (Frame.encode (Message.encode_request req))
+
+(* Write what the socket accepts now; the rest waits for writability. *)
+let flush conn =
+  let pending = Buffer.to_bytes conn.out in
+  match Unix.write conn.fd pending 0 (Bytes.length pending) with
+  | n ->
+      Buffer.clear conn.out;
+      Buffer.add_subbytes conn.out pending n (Bytes.length pending - n)
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      ()
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Link_down ("write: " ^ Unix.error_message e))
+
+let close_link t =
+  match t.link with
+  | Connecting fd | Up { fd; _ } ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      t.link <- Down 0.
+  | Down _ | Stopped -> ()
+
+(* Greet and subscribe in one burst: the replies come back in order,
+   ahead of the first pushes. *)
+let established t fd =
+  let conn = { fd; splitter = Frame.Splitter.create (); out = Buffer.create 64 } in
+  t.link <- Up conn;
+  send conn (Message.Hello { version = Message.version; client = t.client_name });
+  send conn (Message.Repl_subscribe { from_lsn = Wal.size t.wal });
+  flush conn
+
 let dial t =
-  let c = Orion_client.connect ~client_name:t.client_name t.primary in
-  t.client <- Some c;
-  (match Orion_client.repl_subscribe c ~from_lsn:(Wal.size t.wal) with
-  | (_ : int) -> ()
-  | exception Orion_client.Error (Message.Repl_error, msg) ->
-      Orion_client.close c;
-      t.client <- None;
-      raise (Fatal ("replica: subscription refused: " ^ msg)));
-  c
+  (* A write racing the primary's close must surface as EPIPE, not kill
+     the process — bootstrap runs before the server ignores SIGPIPE. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let fd = Unix.socket (Addr.domain t.primary) Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock fd;
+  t.link <- Connecting fd;
+  match Unix.connect fd (Addr.to_sockaddr t.primary) with
+  | () -> established t fd
+  | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EAGAIN | Unix.EINTR), _, _)
+    ->
+      ()
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Link_down ("connect: " ^ Unix.error_message e))
 
-let drop_client t =
-  (match t.client with
-  | Some c -> ( try Orion_client.close c with _ -> ())
-  | None -> ());
-  t.client <- None
+(* The one apply function for a message from the primary, during
+   bootstrap and on the reactor alike.  [`Frames] means log bytes were
+   appended (the caller syncs, then acks); [`Heartbeat] asks for an
+   ack alone. *)
+let receive t = function
+  | Message.Push (Message.Repl_frames { lsn; data }) ->
+      ingest t ~lsn data;
+      `Frames
+  | Message.Push (Message.Repl_heartbeat _) -> `Heartbeat
+  | Message.Push (Message.Goodbye { msg }) ->
+      raise (Link_down ("primary shut down: " ^ msg))
+  | Message.Push (Message.Deadlock_victim _) -> `Nothing
+  | Message.Reply (Message.Welcome _) -> `Nothing
+  | Message.Reply (Message.Repl_ok _) ->
+      t.backoff <- 0.2;
+      `Nothing
+  | Message.Reply (Message.Error { code = Message.Repl_error; msg }) ->
+      raise (Fatal ("replica: subscription refused: " ^ msg))
+  | Message.Reply _ -> raise (Link_down "unexpected reply from the primary")
 
-(* One push.  Raises [Sealed_exn] once sealed, [Disconnected] on a
-   dead primary, [Fatal] on stream damage. *)
-let step t c =
-  match Orion_client.next_push c with
-  | Message.Repl_frames { lsn; data } ->
-      t.locked (fun () -> if not t.sealed then ingest t ~lsn data);
-      if t.sealed then raise Sealed_exn;
-      Wal.sync t.wal;
-      Orion_client.repl_ack c ~lsn:(Wal.size t.wal)
-  | Message.Repl_heartbeat _ ->
-      if t.sealed then raise Sealed_exn;
-      Orion_client.repl_ack c ~lsn:(Wal.size t.wal)
-  | Message.Goodbye { msg } ->
-      raise (Orion_client.Disconnected ("primary shut down: " ^ msg))
-  | Message.Deadlock_victim _ -> ()
+(* Read one chunk, apply every complete message in it, then sync the
+   local log once and acknowledge what is now durable. *)
+let pull t conn =
+  match Unix.read conn.fd t.chunk 0 (Bytes.length t.chunk) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    ->
+      ()
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Link_down ("read: " ^ Unix.error_message e))
+  | 0 -> raise (Link_down "primary closed the connection")
+  | n ->
+      let frames = ref false and ack = ref false in
+      let rec drain () =
+        match Frame.Splitter.next conn.splitter with
+        | None -> ()
+        | Some payload ->
+            (match receive t (Message.decode_server payload) with
+            | `Frames -> frames := true
+            | `Heartbeat -> ack := true
+            | `Nothing -> ());
+            drain ()
+      in
+      let broken =
+        match
+          Frame.Splitter.feed conn.splitter t.chunk ~len:n;
+          drain ()
+        with
+        | () -> None
+        | exception (Frame.Corrupt msg | Orion_storage.Bytes_rw.Reader.Corrupt msg)
+          ->
+            Some (Link_down ("corrupt frame: " ^ msg))
+        | exception e -> Some e
+      in
+      (* What was applied before a goodbye or a bad frame is still
+         synced: the resubscription starts from the local log's size. *)
+      if !frames then Wal.sync t.wal;
+      match broken with
+      | Some e -> raise e
+      | None ->
+          if !frames || !ack then
+            send conn (Message.Repl_ack { lsn = Wal.size t.wal })
+
+let watch t ~now =
+  (match t.link with
+  | Down at when now >= at -> dial t
+  | Down _ | Connecting _ | Up _ | Stopped -> ());
+  match t.link with
+  | Connecting fd -> ([], [ fd ])
+  | Up conn -> ([ conn.fd ], if Buffer.length conn.out > 0 then [ conn.fd ] else [])
+  | Down _ | Stopped -> ([], [])
+
+let step t ~readable ~writable =
+  match t.link with
+  | Connecting fd when List.mem fd writable -> (
+      match Unix.getsockopt_error fd with
+      | None -> established t fd
+      | Some e -> raise (Link_down ("connect: " ^ Unix.error_message e)))
+  | Up conn ->
+      if List.mem conn.fd readable then pull t conn;
+      if Buffer.length conn.out > 0 then flush conn
+  | Connecting _ | Down _ | Stopped -> ()
+
+(* A dead link redials after the backoff ([f] then yields [down]).
+   Anything else — stream damage, a refused subscription, a failing
+   local log — stops the stream for good as [Fatal]; reads keep being
+   served from the last good state. *)
+let guard t ~down f =
+  match f () with
+  | v -> v
+  | exception Link_down _ ->
+      close_link t;
+      Obs.incr t.reconnects;
+      t.link <- Down (Unix.gettimeofday () +. t.backoff);
+      t.backoff <- Float.min 2.0 (t.backoff *. 2.);
+      down
+  | exception e ->
+      let msg =
+        match e with Fatal msg -> msg | e -> "replica: " ^ Printexc.to_string e
+      in
+      close_link t;
+      t.link <- Stopped;
+      t.failed <- Some msg;
+      raise (Fatal msg)
+
+(* The reactor's side: a stopped stream is reported once, never raised. *)
+let poll_fds t ~now =
+  try guard t ~down:([], []) (fun () -> watch t ~now)
+  with Fatal msg ->
+    prerr_endline msg;
+    ([], [])
+
+let service t ~readable ~writable =
+  try guard t ~down:() (fun () -> step t ~readable ~writable)
+  with Fatal msg -> prerr_endline msg
 
 let bootstrap ?(dial_attempts = 50) t =
   replay_local t;
-  let backoff = ref 0.2 in
-  let attempts = ref 0 in
-  let rec go () =
-    if t.sealed then raise (Fatal "replica: sealed during bootstrap");
-    match
-      let c = dial t in
-      while t.serving = None && not t.sealed do
-        step t c
-      done
-    with
-    | () -> ()
-    | exception
-        ( Orion_client.Disconnected _ | Orion_client.Error _
-        | Unix.Unix_error _ ) ->
-        drop_client t;
-        incr attempts;
-        if !attempts >= dial_attempts then
-          raise (Fatal "replica: primary unreachable during bootstrap");
-        Unix.sleepf !backoff;
-        backoff := Float.min 2.0 (!backoff *. 2.);
-        go ()
-  in
-  go ();
+  let failures () = Obs.counter_value t.reconnects in
+  let failed_before = failures () in
+  while t.serving = None do
+    if failures () - failed_before >= dial_attempts then begin
+      close_link t;
+      raise (Fatal "replica: primary unreachable during bootstrap")
+    end;
+    let reads, writes =
+      guard t ~down:([], []) (fun () -> watch t ~now:(Unix.gettimeofday ()))
+    in
+    match Unix.select reads writes [] 0.1 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | readable, writable, _ -> guard t ~down:() (fun () -> step t ~readable ~writable)
+  done;
+  close_link t;
   db t
-
-let start t =
-  let run () =
-    let backoff = ref 0.2 in
-    (try
-       while not t.sealed && t.failed = None do
-         match
-           let c =
-             match t.client with Some c -> c | None -> dial t
-           in
-           backoff := 0.2;
-           while true do
-             step t c
-           done
-         with
-         | () -> ()
-         | exception Sealed_exn -> ()
-         | exception Fatal msg ->
-             prerr_endline msg;
-             t.failed <- Some msg
-         | exception
-             ( Orion_client.Disconnected _ | Orion_client.Error _
-             | Unix.Unix_error _ ) ->
-             drop_client t;
-             if not t.sealed then begin
-               Obs.incr t.reconnects;
-               Unix.sleepf !backoff;
-               backoff := Float.min 2.0 (!backoff *. 2.)
-             end
-       done
-     with e ->
-       t.failed <- Some (Printexc.to_string e);
-       prerr_endline ("replica: applier died: " ^ Printexc.to_string e));
-    drop_client t
-  in
-  t.thread <- Some (Thread.create run ())
 
 let failed t = t.failed
 
-(* Promote half one: flip the flag under the service lock so any
-   in-flight batch the applier holds is discarded, not applied over
-   the new primary's writes. *)
-let seal t = t.sealed <- true
-
+(* Promotion, or shutdown: drop the connection and never redial. *)
 let stop t =
-  seal t;
-  (match t.client with Some c -> Orion_client.shutdown c | None -> ());
-  (match t.thread with Some thr -> Thread.join thr | None -> ());
-  t.thread <- None
+  close_link t;
+  t.link <- Stopped
 
 (* Save the replica's durable state on graceful shutdown: the mirror
    store image and the synced local log.  Deliberately NOT the primary

@@ -19,18 +19,21 @@
       own record slots ([rid = None]): record lifecycle belongs to the
       physical stream alone.
 
-    The stream survives primary restarts (reconnect with backoff,
+    The stream survives primary restarts (redial with backoff,
     resubscribing from the local log's size) and replica restarts
-    (local replay, then subscribe for the rest).  {!seal} — under the
-    server's service lock — flips the applier off for promotion. *)
+    (local replay, then subscribe for the rest).  After {!bootstrap}
+    the server's reactor drives the stream without ever blocking: it
+    selects on the descriptors {!poll_fds} names and calls {!service}
+    each tick.  {!stop} ends the stream for promotion. *)
 
 type t
 
 exception Fatal of string
 (** Unrecoverable stream damage: a gap, a refused subscription, a
-    checkpoint without a catalog.  During {!bootstrap} it propagates;
-    in the {!start}ed applier it is recorded in {!failed} and the
-    stream stops (reads keep being served from the last good state). *)
+    checkpoint without a catalog, a failing local log.  During
+    {!bootstrap} it propagates; under {!service} it is recorded in
+    {!failed} and the stream stops (reads keep being served from the
+    last good state). *)
 
 val create :
   primary:Orion_protocol.Addr.t ->
@@ -43,17 +46,13 @@ val create :
     non-empty one resumes a previous replica session. *)
 
 val bootstrap : ?dial_attempts:int -> t -> Orion_core.Database.t
-(** Replay the local log, connect (retrying up to [dial_attempts]
-    times with backoff — the primary may still be starting), subscribe
-    from the local size, and ingest until the serving database exists
-    (first sealed checkpoint).  Runs on the caller's thread.
+(** Replay the local log, connect (redialling with backoff up to
+    [dial_attempts] failures — the primary may still be starting),
+    subscribe from the local size, and ingest until the serving
+    database exists (first sealed checkpoint), then close the
+    connection.  Runs on the caller's thread and blocks.
     @raise Fatal when the primary refuses the subscription or stays
     unreachable *)
-
-val set_locked : t -> ((unit -> unit) -> unit) -> unit
-(** Install the critical-section runner the applier wraps each batch
-    in — the server's service lock, once it exists.  Default: run
-    unlocked (single-threaded bootstrap). *)
 
 val set_mvcc : t -> Orion_mvcc.Version_store.t -> unit
 (** Install the version store replica-side snapshot reads resolve
@@ -61,21 +60,26 @@ val set_mvcc : t -> Orion_mvcc.Version_store.t -> unit
     objects' pre-images before applying and publishes its after-images
     at the commit's clock — so a snapshot opened on the replica reads
     a commit-clock-consistent view at the applied clock, exactly as on
-    the primary.  Install under the service lock (same discipline as
-    {!set_locked}). *)
+    the primary.  The server installs its own store at creation. *)
 
-val start : t -> unit
-(** Spawn the applier thread: keep ingesting (and acknowledging) until
-    {!seal}, reconnecting with backoff across primary outages. *)
+val poll_fds :
+  t -> now:float -> Unix.file_descr list * Unix.file_descr list
+(** The descriptors to select on for reading and for writing this
+    tick.  Dials the primary (a non-blocking [connect]) once the redial
+    deadline has passed; empty while the link is down or stopped. *)
 
-val seal : t -> unit
-(** Stop applying: any batch in flight is discarded, not applied.
-    Call under the service lock — this is promotion's first step, and
-    the lock is what orders it against the applier's in-flight
-    batch. *)
+val service :
+  t -> readable:Unix.file_descr list -> writable:Unix.file_descr list -> unit
+(** One tick of streaming: finish a pending connect, read at most one
+    chunk and apply every complete push in it, [Wal.sync] the local log
+    once if frames were applied, then acknowledge the durable size.  A
+    lost connection redials after a backoff (0.2 s doubling to 2 s,
+    counted in [repl.reconnects]); a {!Fatal} error stops the stream
+    and is recorded in {!failed}.  Never raises, never blocks. *)
 
 val stop : t -> unit
-(** {!seal}, wake the applier off its socket, and join it. *)
+(** Close the connection and never redial: promotion's first step, and
+    shutdown's. *)
 
 val save : t -> unit
 (** Graceful-shutdown persistence: save the mirror store image to
@@ -90,6 +94,5 @@ val db : t -> Orion_core.Database.t
 val wal : t -> Orion_wal.Wal.t
 val db_path : t -> string
 val applied_lsn : t -> int
-val sealed : t -> bool
 val failed : t -> string option
 val checkpoints : t -> int

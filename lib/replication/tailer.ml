@@ -1,5 +1,4 @@
 module Obs = Orion_obs.Metrics
-module Omutex = Orion_util.Omutex
 module Wal = Orion_wal.Wal
 
 (* One shipped-but-unacknowledged batch: enough to turn the replica's
@@ -18,7 +17,6 @@ type sub = {
 
 type t = {
   wal : Wal.t;
-  mu : Omutex.t;
   subs : (int, sub) Hashtbl.t;
   shipped_frames : Obs.counter;
   shipped_bytes : Obs.counter;
@@ -30,8 +28,6 @@ type t = {
 let heartbeat_interval = 1.0
 let default_max_bytes = 1 lsl 20
 
-let with_mu t f = Omutex.with_lock t.mu f
-
 let lag_bytes_of t s = max 0 (Wal.durable_lsn t.wal - s.acked)
 
 let lag_records_of s =
@@ -41,7 +37,6 @@ let create wal =
   let t =
     {
       wal;
-      mu = Omutex.create Omutex.repl_tailer;
       subs = Hashtbl.create 4;
       shipped_frames = Obs.counter "repl.shipped_frames";
       shipped_bytes = Obs.counter "repl.shipped_bytes";
@@ -51,14 +46,11 @@ let create wal =
     }
   in
   (* Aggregate lag: the worst replica is the one failover cares about. *)
-  Obs.gauge "repl.replicas" (fun () ->
-      with_mu t (fun () -> Hashtbl.length t.subs));
+  Obs.gauge "repl.replicas" (fun () -> Hashtbl.length t.subs);
   Obs.gauge "repl.lag_bytes" (fun () ->
-      with_mu t (fun () ->
-          Hashtbl.fold (fun _ s m -> max m (lag_bytes_of t s)) t.subs 0));
+      Hashtbl.fold (fun _ s m -> max m (lag_bytes_of t s)) t.subs 0);
   Obs.gauge "repl.lag_records" (fun () ->
-      with_mu t (fun () ->
-          Hashtbl.fold (fun _ s m -> max m (lag_records_of s)) t.subs 0));
+      Hashtbl.fold (fun _ s m -> max m (lag_records_of s)) t.subs 0);
   t
 
 let subscribe t ~from_lsn =
@@ -68,38 +60,28 @@ let subscribe t ~from_lsn =
       (Printf.sprintf "subscribe LSN %d out of range (durable %d)" from_lsn
          durable)
   else begin
-    let id, s =
-      with_mu t (fun () ->
-          (* Smallest free id, so a reconnecting replica reclaims the
-             slot it held before: its labeled lag gauges below
-             re-register over the dead subscription's (the metrics
-             registry replaces on name collision), resetting them to
-             the live figures instead of leaving stuck-at-0 cells
-             behind and minting new labels on every reconnect. *)
-          let rec fresh id =
-            if Hashtbl.mem t.subs id then fresh (id + 1) else id
-          in
-          let id = fresh 0 in
-          let s =
-            {
-              id;
-              sent = from_lsn;
-              acked = from_lsn;
-              last_send = Unix.gettimeofday ();
-              active = true;
-              inflight = Queue.create ();
-            }
-          in
-          Hashtbl.replace t.subs id s;
-          (id, s))
+    (* Smallest free id, so a reconnecting replica reclaims the slot it
+       held before: its labeled lag gauges below re-register over the
+       dead subscription's (the metrics registry replaces on name
+       collision), resetting them to the live figures instead of
+       leaving stuck-at-0 cells behind and minting new labels on every
+       reconnect. *)
+    let rec fresh id = if Hashtbl.mem t.subs id then fresh (id + 1) else id in
+    let id = fresh 0 in
+    let s =
+      {
+        id;
+        sent = from_lsn;
+        acked = from_lsn;
+        last_send = Unix.gettimeofday ();
+        active = true;
+        inflight = Queue.create ();
+      }
     in
+    Hashtbl.replace t.subs id s;
     (* Per-replica lag cells, label convention as per-class lock cells.
        A gauge can't be unregistered, so it reads 0 once the
-       subscription is gone.  Registration happens AFTER the tailer
-       mutex is released: Obs.snapshot holds the registry mutex while
-       calling the aggregate gauges above, which take the tailer mutex
-       — registering under it here is the reverse order, a latent
-       deadlock lockdep flags as registry/tailer inversion. *)
+       subscription is gone. *)
     let labeled name = Obs.labeled name ("replica", string_of_int id) in
     Obs.gauge (labeled "repl.lag_bytes") (fun () ->
         if s.active then lag_bytes_of t s else 0);
@@ -109,30 +91,28 @@ let subscribe t ~from_lsn =
   end
 
 let unsubscribe t id =
-  with_mu t (fun () ->
-      match Hashtbl.find_opt t.subs id with
-      | None -> ()
-      | Some s ->
-          s.active <- false;
-          Hashtbl.remove t.subs id)
+  match Hashtbl.find_opt t.subs id with
+  | None -> ()
+  | Some s ->
+      s.active <- false;
+      Hashtbl.remove t.subs id
 
 let ack t id ~lsn =
-  with_mu t (fun () ->
-      match Hashtbl.find_opt t.subs id with
-      | None -> ()
-      | Some s ->
-          Obs.incr t.acks;
-          if lsn > s.acked then s.acked <- lsn;
-          let now = Unix.gettimeofday () in
-          let rec pop () =
-            match Queue.peek_opt s.inflight with
-            | Some i when i.end_lsn <= lsn ->
-                ignore (Queue.pop s.inflight : inflight);
-                Obs.observe t.ack_hist (now -. i.sent_at);
-                pop ()
-            | _ -> ()
-          in
-          pop ())
+  match Hashtbl.find_opt t.subs id with
+  | None -> ()
+  | Some s ->
+      Obs.incr t.acks;
+      if lsn > s.acked then s.acked <- lsn;
+      let now = Unix.gettimeofday () in
+      let rec pop () =
+        match Queue.peek_opt s.inflight with
+        | Some i when i.end_lsn <= lsn ->
+            ignore (Queue.pop s.inflight : inflight);
+            Obs.observe t.ack_hist (now -. i.sent_at);
+            pop ()
+        | _ -> ()
+      in
+      pop ()
 
 type pumped =
   | Frames of { lsn : int; data : bytes }
@@ -140,27 +120,26 @@ type pumped =
   | Idle
 
 let pump ?(max_bytes = default_max_bytes) t id =
-  with_mu t (fun () ->
-      match Hashtbl.find_opt t.subs id with
-      | None -> Idle
-      | Some s -> (
-          match Wal.read_from t.wal ~lsn:s.sent ~max_bytes with
-          | Some (data, end_lsn, frames) ->
-              let lsn = s.sent in
-              s.sent <- end_lsn;
-              let now = Unix.gettimeofday () in
-              s.last_send <- now;
-              Queue.push { end_lsn; frames; sent_at = now } s.inflight;
-              Obs.incr t.shipped_frames ~by:frames;
-              Obs.incr t.shipped_bytes ~by:(Bytes.length data);
-              Frames { lsn; data }
-          | None ->
-              let now = Unix.gettimeofday () in
-              if now -. s.last_send >= heartbeat_interval then begin
-                s.last_send <- now;
-                Obs.incr t.heartbeats;
-                Heartbeat s.sent
-              end
-              else Idle))
+  match Hashtbl.find_opt t.subs id with
+  | None -> Idle
+  | Some s -> (
+      match Wal.read_from t.wal ~lsn:s.sent ~max_bytes with
+      | Some (data, end_lsn, frames) ->
+          let lsn = s.sent in
+          s.sent <- end_lsn;
+          let now = Unix.gettimeofday () in
+          s.last_send <- now;
+          Queue.push { end_lsn; frames; sent_at = now } s.inflight;
+          Obs.incr t.shipped_frames ~by:frames;
+          Obs.incr t.shipped_bytes ~by:(Bytes.length data);
+          Frames { lsn; data }
+      | None ->
+          let now = Unix.gettimeofday () in
+          if now -. s.last_send >= heartbeat_interval then begin
+            s.last_send <- now;
+            Obs.incr t.heartbeats;
+            Heartbeat s.sent
+          end
+          else Idle)
 
-let replica_count t = with_mu t (fun () -> Hashtbl.length t.subs)
+let replica_count t = Hashtbl.length t.subs

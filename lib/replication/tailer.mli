@@ -11,9 +11,8 @@
     [repl.lag_bytes{replica=N}] cells) and the ack-RTT histogram
     ([repl.ack_seconds]).
 
-    Thread-safety: all operations take an internal mutex, so a metrics
-    snapshot on any thread can read the lag gauges while the reactor
-    pumps subscribers. *)
+    The tailer has no mutex: the server's reactor alone subscribes,
+    pumps, acknowledges and unsubscribes. *)
 
 type t
 

@@ -1,6 +1,6 @@
-(* The network server: binds the listener, builds the transactional
-   service and the reactor that owns the listener, and runs the reactor
-   on the calling thread beside the group-committer thread. *)
+(* The network server: binds the listener, builds the reactor and the
+   transactional service it owns, and runs the reactor on the calling
+   thread beside the group-committer thread. *)
 
 module Obs = Orion_obs.Metrics
 
@@ -71,15 +71,23 @@ let session_count t = Shard.session_count t.shard
 
 let create ?(config = default_config) ?wal ?repl env addr =
   let listen, bound = listen_on addr in
-  let svc = Tx_service.create ?wal ~window:config.group_commit_window ?repl env in
-  let shard = Shard.create ~config ~svc ~listen ~addr:bound in
+  let shard =
+    Shard.create ~config ~listen ~addr:bound
+      ~service:(Tx_service.create ?wal ~window:config.group_commit_window ?repl env)
+  in
+  let svc = shard.Shard.svc in
   Obs.gauge "server.sessions" (fun () -> Shard.session_count shard);
   Obs.gauge "server.parked" (fun () -> Shard.parked_count shard);
-  (* No log attached (hence no committer): register zeroed WAL and
-     group-commit instruments so the wire snapshot always covers the WAL
-     subsystem (matching Database.stats, which reports zeros without a
-     source). *)
-  if Option.is_none wal then begin
+  (* A process with no log at all (hence no committer): register zeroed
+     WAL and group-commit instruments so the wire snapshot always covers
+     the WAL subsystem (matching Database.stats, which reports zeros
+     without a source).  A replica has a log — its mirror — whose live
+     instruments these zeros would replace by name. *)
+  let has_log =
+    Option.is_some wal
+    || match repl with Some (Tx_service.Replica_of _) -> true | _ -> false
+  in
+  if not has_log then begin
     List.iter
       (fun name -> ignore (Obs.counter name : Obs.counter))
       [ "wal.appends"; "wal.bytes"; "wal.syncs"; "wal.truncations";
@@ -87,7 +95,10 @@ let create ?(config = default_config) ?wal ?repl env addr =
         "wal.group_commit.solo_txs" ];
     List.iter
       (fun name -> ignore (Obs.histogram name : Obs.histogram))
-      [ "wal.append_seconds"; "wal.sync_seconds"; "wal.group_commit.batch_size" ]
+      [ "wal.append_seconds"; "wal.sync_seconds" ];
+    ignore
+      (Obs.histogram ~unit:Obs.Count "wal.group_commit.batch_size"
+        : Obs.histogram)
   end;
   { svc; shard }
 

@@ -1,16 +1,16 @@
 (** The network server: one reactor serving many clients over one
     database.
 
-    The reactor is a single-threaded select loop: it owns the listener
-    and the session table, multiplexes every connection with
-    [Unix.select], and never blocks a thread on a database lock.  The
-    transactional core (database, lock table, transaction bookkeeping)
-    sits behind one service mutex, taken once per tick around the whole
-    dispatch batch ([txsvc.*] instruments measure what it costs).
-    Besides the reactor, two threads run: the group committer (below)
-    and, on a replica, the applier that mirrors the primary's log.  A
-    primary's log tailer has no thread of its own; the reactor pumps it
-    for each subscribed replica.
+    The reactor is a single-threaded select loop: it owns the listener,
+    the session table and the whole transactional core (database, lock
+    table, transaction bookkeeping, MVCC version store), multiplexes
+    every connection with [Unix.select], and never blocks a thread on a
+    database lock.  Besides the reactor, one thread runs: the group
+    committer (below).  A primary's log tailer has no thread of its
+    own — the reactor pumps it for each subscribed replica — and
+    neither has a replica's stream from its primary: the reactor dials,
+    reads, applies and acknowledges it without blocking
+    ({!Orion_replication.Replica.service}).
 
     Each connection is a {e session} holding at most one open
     {!Orion_tx.Tx_manager} transaction.  A lock request that comes back
@@ -32,7 +32,10 @@
     without a log, is lock release.  Locks stay held across the batch
     sync (strict 2PL); the client's commit reply is sent only after the
     sync, so an acknowledged commit is always durable.  The committer
-    thread hands each verdict back through the reactor's inbox.
+    thread hands each sealed batch back through the reactor's inbox;
+    the reactor publishes it to the version store at its seal clock
+    before it completes any member, so a batch becomes visible to
+    snapshots atomically and before its locks release.
 
     Admission control: at most [max_sessions] concurrent sessions
     (excess connections are refused with
@@ -91,7 +94,9 @@ val create :
     commit through it via the group committer.  [?repl] is the replication
     role (default [Standalone]): a [Primary] tails its log for
     subscribed replicas, a [Replica_of] serves read-only sessions
-    while its applier mirrors the primary (and can be promoted).
+    while its reactor mirrors the primary (and can be promoted); the
+    server installs its version store in the replica, so snapshot
+    reads answer at the applied clock.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val address : t -> addr
@@ -126,7 +131,8 @@ val stats : t -> stats
 val session_count : t -> int
 
 val service : t -> Tx_service.t
-(** The shared transactional service (promotion state, service lock). *)
+(** The transactional service the reactor owns (promotion state,
+    manager, instruments). *)
 
 val role : t -> [ `Standalone | `Primary | `Replica ]
 (** Current replication role — a node started as a replica reads

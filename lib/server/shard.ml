@@ -1,10 +1,11 @@
 (* The reactor: one select loop that owns the listener, the session
-   table, the parked transactions and the read buffer.  Anything
-   touching the transactional core (database, lock table, tx ownership)
-   runs under the service lock, taken once per tick around the whole
-   dispatch batch.  The group committer's verdicts arrive as
-   [Tx_service.peer_msg] through the inbox + wake pipe; signal handlers
-   stop the reactor through the wake pipe alone. *)
+   table, the parked transactions, the read buffer and the whole
+   transactional core (database, lock table, version store, tx
+   ownership) — and, on a replica, the stream from the primary.  No
+   other thread touches any of it, so none of it needs a mutex.  The
+   group committer's sealed batches arrive through the inbox + wake
+   pipe; signal handlers stop the reactor through the wake pipe
+   alone. *)
 
 module Eval = Orion_dsl.Eval
 module Tx = Orion_tx.Tx_manager
@@ -14,6 +15,7 @@ module Sexp = Orion_util.Sexp
 module Omutex = Orion_util.Omutex
 module Obs = Orion_obs.Metrics
 module Tailer = Orion_replication.Tailer
+module Replica = Orion_replication.Replica
 module Snapshot_read = Orion_mvcc.Snapshot_read
 open Orion_core
 
@@ -53,7 +55,7 @@ type session = {
          a single lock-table entry.  Mutually exclusive with [tx]. *)
   mutable committing : Tx.tx option;
       (* submitted to the group committer; the session is gated (no
-         further requests dispatch) until [Commit_done] settles it *)
+         further requests dispatch) until its sealed batch settles it *)
   mutable parked_req : Message.request option;
   mutable parked_since : float;
   mutable deadlock_note : string option;
@@ -77,7 +79,7 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   inbox_mu : Omutex.t;
-  inbox : Tx_service.peer_msg Queue.t;
+  inbox : Tx_service.batch Queue.t;
   sessions : (int, session) Hashtbl.t;
   mutable next_sid : int;
   mutable n_parked : int;  (* refreshed every tick, for stats readers *)
@@ -87,18 +89,31 @@ type t = {
   mutable was_killed : bool;
 }
 
-let create ~config ~svc ~listen ~addr =
+let write_wake fd byte =
+  try ignore (Unix.write fd (Bytes.make 1 byte) 0 1 : int)
+  with Unix.Unix_error _ -> ()
+
+(* [service ~post] builds the transactional service around the inbox:
+   [post] is how its group committer hands a sealed batch over. *)
+let create ~config ~service ~listen ~addr =
   let wake_r, wake_w = Unix.pipe () in
   Unix.set_nonblock wake_r;
+  let inbox_mu = Omutex.create Omutex.shard_inbox and inbox = Queue.create () in
+  let post batch =
+    Omutex.lock inbox_mu;
+    Queue.push batch inbox;
+    Omutex.unlock inbox_mu;
+    write_wake wake_w 'M'
+  in
   {
     config;
-    svc;
+    svc = service ~post;
     listen;
     addr;
     wake_r;
     wake_w;
-    inbox_mu = Omutex.create Omutex.shard_inbox;
-    inbox = Queue.create ();
+    inbox_mu;
+    inbox;
     sessions = Hashtbl.create 32;
     next_sid = 0;
     n_parked = 0;
@@ -112,20 +127,10 @@ let session_count t = Hashtbl.length t.sessions
 let parked_count t = t.n_parked
 let killed t = t.was_killed
 
-let wake t byte =
-  try ignore (Unix.write t.wake_w (Bytes.make 1 byte) 0 1 : int)
-  with Unix.Unix_error _ -> ()
-
-let enqueue t msg =
-  Omutex.lock t.inbox_mu;
-  Queue.push msg t.inbox;
-  Omutex.unlock t.inbox_mu;
-  wake t 'M'
-
 (* [stop]/[kill] bytes bypass the inbox: a signal handler must not take
    the inbox mutex (it could interrupt the owner mid-enqueue). *)
-let request_stop t = wake t 'G'
-let request_kill t = wake t 'K'
+let request_stop t = write_wake t.wake_w 'G'
+let request_kill t = write_wake t.wake_w 'K'
 
 let take_inbox t =
   Omutex.lock t.inbox_mu;
@@ -151,12 +156,8 @@ let push session p = send session (Message.Push p)
 
 let error session code msg = reply session (Message.Error { code; msg })
 
+(* Write as much of the pending frames as the socket accepts. *)
 let flush_out session =
-  (* Write as much of the pending frames as the socket accepts.  A
-     declared blocking point: sockets are non-blocking, but a write is
-     still a syscall a no-block lock holder has no business waiting
-     on. *)
-  Omutex.blocking ~op:"socket.write" @@ fun () ->
   let progress = ref true in
   while !progress && not (Queue.is_empty session.out) do
     let head = Queue.peek session.out in
@@ -210,9 +211,6 @@ let observe_wait t session =
   | None -> ()
   | Some cls -> Obs.observe (Tx_service.class_wait_hist t.svc cls) elapsed
 
-(* Everything from here to the end of [handle] runs with the service
-   lock held (the per-tick dispatch batch). *)
-
 let rec destroy t session =
   Hashtbl.remove t.sessions session.sid;
   (match session.repl_sub with
@@ -234,8 +232,8 @@ let rec destroy t session =
       Tx.end_snapshot t.svc.Tx_service.manager snap
   | None -> ());
   (* A commit in flight with the group committer is past the point of
-     no return: [Commit_done] finishes the transaction (releasing its
-     locks) whether or not the session is still here to be told. *)
+     no return: its sealed batch finishes the transaction (releasing
+     its locks) whether or not the session is still here to be told. *)
   (try Unix.close session.fd with Unix.Unix_error _ -> ())
 
 (* Wake every parked session whose transaction the lock table just
@@ -302,8 +300,7 @@ and retry_lock t session req =
   (* Live reads inside a transaction lock what they read (the §7 read
      protocols), so they serialize against concurrent composite
      updates instead of racing them.  Re-derivation on retry is sound:
-     mutations only run under the core lock, which the whole dispatch
-     batch holds. *)
+     mutations only run on the reactor, between requests. *)
   | Some tx, Message.Components_of root ->
       Tx.lock_composite t.svc.Tx_service.manager tx ~root
         Orion_locking.Protocol.Read_
@@ -440,8 +437,9 @@ and handle t session req =
           (* Inside a transaction, evaluated object mutations must be
              transactional like the typed requests — undo on abort,
              after-images at commit — so route them through the
-             manager for the duration of the eval.  Dispatch holds the
-             service lock: no other session can observe the swap. *)
+             manager for the duration of the eval.  Dispatch runs one
+             request at a time: no other session can observe the
+             swap. *)
           let ambient_mutator = Eval.mutator svc.Tx_service.env in
           (match session.tx with
           | None -> ()
@@ -501,18 +499,16 @@ and handle t session req =
               (* Group commit: capture the after-images, park the
                  transaction in [Committing] (locks stay held across
                  the batch sync — strict 2PL), and gate the session.
-                 The reply waits for the committer's verdict; the
-                 ownership claim stays until [Commit_done] so
-                 checkpoints see the commit as still open. *)
+                 The reply waits for the sealed batch; the ownership
+                 claim stays until then so checkpoints see the commit
+                 as still open. *)
               let records, (next_oid, clock, cc) = Tx.submit_commit manager tx in
               session.tx <- None;
               session.committing <- Some tx;
               let eager = Tx_service.submit_is_eager svc in
-              let sid = session.sid in
               Orion_wal.Group_commit.submit gc ~tx:(Tx.tx_id tx) ~records
                 ~next_oid ~clock ~cc ~eager
-                ~notify:(fun ~ok ~err ->
-                  enqueue t (Tx_service.Commit_done { sid; tx; ok; err }))
+                ~member:{ Tx_service.sid = session.sid; tx }
           | _ -> (
               (* Lock release: a read-only commit, or any commit on a
                  server without a log (the manager logs nothing). *)
@@ -686,32 +682,47 @@ and handle t session req =
           reply session (Message.Result Message.Unit)
       | Error msg -> error session Message.Repl_error msg)
 
-(* Group-commit verdicts ------------------------------------------------------- *)
+(* Sealed batches --------------------------------------------------------------- *)
 
-let process_msg t (Tx_service.Commit_done { sid; tx; ok; err }) =
+let settle t outcome { Tx_service.sid; tx } =
   let svc = t.svc in
   Tx_service.disown svc ~tx_id:(Tx.tx_id tx);
   let unblocked =
-    if ok then Tx.complete_commit svc.Tx_service.manager tx
-    else Tx.commit_failed svc.Tx_service.manager tx
+    match outcome with
+    | Ok () -> Tx.complete_commit svc.Tx_service.manager tx
+    | Error _ -> Tx.commit_failed svc.Tx_service.manager tx
   in
-  (match Hashtbl.find_opt t.sessions sid with
+  match Hashtbl.find_opt t.sessions sid with
   | Some session
     when (match session.committing with
          | Some tx' -> Tx.tx_id tx' = Tx.tx_id tx
          | None -> false) ->
       session.committing <- None;
-      if ok then reply session (Message.Result Message.Unit)
-      else
-        (* The batch's log write failed: [err] is the log's
-           {!Orion_wal.Wal.failure_message}. *)
-        error session Message.Io_error (err ^ "; transaction aborted");
+      (match outcome with
+      | Ok () -> reply session (Message.Result Message.Unit)
+      | Error err ->
+          (* The batch's log write failed: [err] is the log's
+             {!Orion_wal.Wal.failure_message}. *)
+          error session Message.Io_error (err ^ "; transaction aborted"));
       resume t unblocked;
       pump t session
   | Some _ | None ->
       (* The session died while its commit was in flight; the
          transaction still had to be finished (its locks freed). *)
-      resume t unblocked)
+      resume t unblocked
+
+(* Publish the whole batch at its one seal clock before finishing any
+   member: snapshots begin only on this thread, so none can begin
+   between the publication and the lock releases below, and every
+   later one reads at a clock covering all of the batch. *)
+let process_batch t { Orion_wal.Group_commit.members; clock; records; outcome } =
+  (match outcome with
+  | Ok () ->
+      Orion_mvcc.Version_store.publish_records
+        (Tx.version_store t.svc.Tx_service.manager)
+        ~clock records
+  | Error _ -> ());
+  List.iter (settle t outcome) members
 
 (* Deadlock resolution --------------------------------------------------------- *)
 
@@ -877,7 +888,7 @@ let feed t session =
       (* ECONNRESET/EPIPE, but also ETIMEDOUT (keepalive on a dead
          peer) and other socket errors: the peer is unreachable.  Drop
          any undeliverable output; the end-of-tick sweep destroys the
-         session (aborting its transaction) under the service lock. *)
+         session (aborting its transaction). *)
       Queue.clear session.out;
       session.out_off <- 0;
       session.closing <- true
@@ -952,6 +963,11 @@ let run t =
       | Some interval -> Unix.gettimeofday () +. interval
       | None -> infinity)
   in
+  let upstream () =
+    match t.svc.Tx_service.repl with
+    | Tx_service.Replica_of { replica; _ } -> Some replica
+    | Tx_service.Standalone | Tx_service.Primary _ -> None
+  in
   while not !finished do
     let now = Unix.gettimeofday () in
     (match t.config.metrics_interval with
@@ -963,12 +979,8 @@ let run t =
     | Draining deadline when now > deadline || Hashtbl.length t.sessions = 0 ->
         (* Grace expired or everyone is gone: close what remains. *)
         let remaining = Hashtbl.fold (fun _ s acc -> s :: acc) t.sessions [] in
-        (* Flush outside the service lock (socket writes under it were
-           a held-across-blocking violation), then destroy under it —
-           the same split the closing-session sweep uses. *)
         List.iter flush_out remaining;
-        Tx_service.with_lock t.svc (fun () ->
-            List.iter (fun s -> destroy t s) remaining);
+        List.iter (fun s -> destroy t s) remaining;
         finished := true
     | Killed ->
         (* A kill simulates a crash for transactions — their locks and
@@ -977,24 +989,31 @@ let run t =
            shared version store: leaking them would block MVCC pruning
            for as long as the process (tests, an embedding supervisor)
            lives on.  End them; abort nothing. *)
-        Tx_service.with_lock t.svc (fun () ->
-            Hashtbl.iter
-              (fun _ s ->
-                match s.snap with
-                | Some snap ->
-                    s.snap <- None;
-                    Tx.end_snapshot t.svc.Tx_service.manager snap
-                | None -> ())
-              t.sessions);
+        Hashtbl.iter
+          (fun _ s ->
+            match s.snap with
+            | Some snap ->
+                s.snap <- None;
+                Tx.end_snapshot t.svc.Tx_service.manager snap
+            | None -> ())
+          t.sessions;
         Hashtbl.iter (fun _ s -> try Unix.close s.fd with Unix.Unix_error _ -> ())
           t.sessions;
         Hashtbl.reset t.sessions;
         finished := true
     | Running | Draining _ -> ());
     if not !finished then begin
+      (* A replica's stream from the primary: dialled, read and
+         acknowledged on this thread, never blocking it. *)
+      let up_reads, up_writes =
+        match upstream () with
+        | Some replica -> Replica.poll_fds replica ~now
+        | None -> ([], [])
+      in
       let reads =
         t.wake_r
         :: (if t.phase = Running then [ t.listen ] else [])
+        @ up_reads
         @ Hashtbl.fold
             (fun _ s acc ->
               (* Backpressure: a full request queue or a closing session
@@ -1007,16 +1026,13 @@ let run t =
       let writes =
         Hashtbl.fold
           (fun _ s acc -> if not (Queue.is_empty s.out) then s.fd :: acc else acc)
-          t.sessions []
+          t.sessions up_writes
       in
-      match
-        Omutex.blocking ~op:"unix.select" (fun () ->
-            Unix.select reads writes [] 0.1)
-      with
+      match Unix.select reads writes [] 0.1 with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | readable, writable, _ ->
           if List.mem t.wake_r readable then drain_wake t;
-          let msgs = take_inbox t in
+          let batches = take_inbox t in
           if t.phase <> Killed then begin
             if t.phase = Running && List.mem t.listen readable then accept t;
             let session_of fd =
@@ -1024,8 +1040,6 @@ let run t =
                 (fun _ s acc -> if s.fd = fd then Some s else acc)
                 t.sessions None
             in
-            (* Socket reads and frame decoding stay outside the service
-               lock; the whole dispatch batch below takes it once. *)
             let fed =
               List.filter_map
                 (fun fd ->
@@ -1038,42 +1052,22 @@ let run t =
                     | None -> None)
                 readable
             in
-            (* Take the core lock only on ticks that have work for it:
-               requests to dispatch, peer messages, a drain, a grown
-               wait-for edge ([deadlock_check_due] reads the manager's
-               generation lock-free), a timeout that could have
-               expired, or a catalog change awaiting its checkpoint.
-               An idle reactor's select timeout then costs no core-lock
-               traffic at all. *)
-            let timeouts_possible =
-              (t.config.lock_timeout <> None && parked_sessions t > 0)
-              || t.config.idle_timeout <> None
-                 && Hashtbl.length t.sessions > 0
-            in
-            if
-              t.drain_pending || msgs <> [] || fed <> []
-              || Tx_service.deadlock_check_due t.svc
-              || timeouts_possible
-              || Tx_service.checkpoint_due t.svc
-            then
-              Tx_service.with_lock t.svc (fun () ->
-                  if t.drain_pending then begin
-                    t.drain_pending <- false;
-                    begin_drain t
-                  end;
-                  List.iter (process_msg t) msgs;
-                  List.iter
-                    (fun s -> if Hashtbl.mem t.sessions s.sid then pump t s)
-                    fed;
-                  if Tx_service.deadlock_check_due t.svc then break_deadlocks t;
-                  enforce_timeouts t (Unix.gettimeofday ());
-                  Tx_service.maybe_checkpoint t.svc);
+            (match upstream () with
+            | Some replica -> Replica.service replica ~readable ~writable
+            | None -> ());
+            if t.drain_pending then begin
+              t.drain_pending <- false;
+              begin_drain t
+            end;
+            List.iter (process_batch t) batches;
+            List.iter (fun s -> if Hashtbl.mem t.sessions s.sid then pump t s) fed;
+            if Tx_service.deadlock_check_due t.svc then break_deadlocks t;
+            enforce_timeouts t (Unix.gettimeofday ());
+            Tx_service.maybe_checkpoint t.svc;
             (* WAL shipping: pump each subscribed session's cursor
-               (bounded per tick; the tailer and log carry their own
-               mutexes, so this runs outside the service lock) and
-               flush immediately — frames are pushes, born outside the
-               request/reply cycle, so the socket may not be in this
-               tick's writable set yet. *)
+               (bounded per tick) and flush immediately — frames are
+               pushes, born outside the request/reply cycle, so the
+               socket may not be in this tick's writable set yet. *)
             (match t.svc.Tx_service.repl with
             | Tx_service.Primary tailer ->
                 Hashtbl.iter
@@ -1103,19 +1097,15 @@ let run t =
                 | None -> ())
               writable;
             (* Close sessions that have said goodbye and flushed. *)
-            let done_ =
-              Hashtbl.fold
-                (fun _ s acc ->
-                  if s.closing then begin
-                    flush_out s;
-                    if Queue.is_empty s.out then s :: acc else acc
-                  end
-                  else acc)
-                t.sessions []
-            in
-            if done_ <> [] then
-              Tx_service.with_lock t.svc (fun () ->
-                  List.iter (fun s -> destroy t s) done_);
+            Hashtbl.fold
+              (fun _ s acc ->
+                if s.closing then begin
+                  flush_out s;
+                  if Queue.is_empty s.out then s :: acc else acc
+                end
+                else acc)
+              t.sessions []
+            |> List.iter (fun s -> destroy t s);
             t.n_parked <- parked_sessions t
           end
     end

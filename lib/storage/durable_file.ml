@@ -1,5 +1,3 @@
-module Omutex = Orion_util.Omutex
-
 type fault = Disk_full | Fsync_error
 
 (* Write [len] bytes of [s] from [pos], resuming after short writes.
@@ -17,21 +15,20 @@ let write_all ?fault fd s ~pos ~len =
   go pos len;
   if disk_full then raise (Unix.Unix_error (Unix.ENOSPC, "write", ""))
 
-let fsync ?fault ~op fd =
-  Omutex.blocking ~op (fun () ->
-      match fault with
-      | Some Fsync_error -> raise (Unix.Unix_error (Unix.EIO, "fsync", ""))
-      | Some Disk_full | None -> Unix.fsync fd)
+let fsync ?fault fd =
+  match fault with
+  | Some Fsync_error -> raise (Unix.Unix_error (Unix.EIO, "fsync", ""))
+  | Some Disk_full | None -> Unix.fsync fd
 
 (* A rename is durable only once the directory entry is: fsync the
    directory too.  Filesystems that cannot fsync a directory say so
    with EINVAL; there is nothing more to do on those. *)
-let fsync_dir ~op path =
+let fsync_dir path =
   let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
   Fun.protect
     ~finally:(fun () -> Unix.close dir)
     (fun () ->
-      try fsync ~op dir with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
+      try fsync dir with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
 
 let open_append path =
   Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0o644
@@ -39,15 +36,15 @@ let open_append path =
 (* A failed fsync cuts the [len] bytes just appended back off the file:
    they were never durable, so a refused commit must not replay from
    them.  The success path makes no extra system call. *)
-let append ?fault ~op fd s ~pos ~len =
+let append ?fault fd s ~pos ~len =
   write_all ?fault fd s ~pos ~len;
-  try fsync ?fault ~op fd
+  try fsync ?fault fd
   with Unix.Unix_error _ as e ->
     (try Unix.ftruncate fd ((Unix.fstat fd).Unix.st_size - len)
      with Unix.Unix_error _ -> ());
     raise e
 
-let replace ?fault ~op path write =
+let replace ?fault path write =
   let tmp = path ^ ".tmp" in
   let oc =
     open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
@@ -62,10 +59,10 @@ let replace ?fault ~op path write =
         Unix.ftruncate fd (out_channel_length oc / 2);
         raise (Unix.Unix_error (Unix.ENOSPC, "write", tmp))
       end;
-      fsync ?fault ~op fd);
+      fsync ?fault fd);
   Unix.rename tmp path;
-  fsync_dir ~op path
+  fsync_dir path
 
-let truncate ~op fd len =
+let truncate fd len =
   Unix.ftruncate fd len;
-  fsync ~op fd
+  fsync fd

@@ -1,9 +1,6 @@
 (** The one persistence path for the store snapshot and the log: every
     byte this module writes has been [fsync]ed when the call returns.
 
-    [op] names the blocking operation for lockdep
-    ({!Orion_util.Omutex.blocking}): ["wal.fsync"] for the log,
-    ["store.fsync"] for the snapshot.
     [fault] is fault injection ({!fault}).
 
     Errors surface as [Unix.Unix_error] (or [Sys_error] from a
@@ -15,8 +12,8 @@ type fault =
   | Fsync_error  (** every byte is written, then [EIO] ([fsync]) *)
 
 val replace :
-  ?fault:fault -> op:string -> string -> (out_channel -> unit) -> unit
-(** [replace ~op path write]: [write] the content into [path ^ ".tmp"],
+  ?fault:fault -> string -> (out_channel -> unit) -> unit
+(** [replace path write]: [write] the content into [path ^ ".tmp"],
     fsync it, rename it over [path], then fsync the directory — after a
     crash [path] holds either its old content or the new one, never a
     mix.  Errors from [write] surface as [Sys_error]. *)
@@ -26,7 +23,6 @@ val open_append : string -> Unix.file_descr
 
 val append :
   ?fault:fault ->
-  op:string ->
   Unix.file_descr ->
   string ->
   pos:int ->
@@ -37,5 +33,5 @@ val append :
     file back to its length before the write (best effort) before
     re-raising: bytes that never became durable must not be read back. *)
 
-val truncate : op:string -> Unix.file_descr -> int -> unit
+val truncate : Unix.file_descr -> int -> unit
 (** Cut the file to [len] bytes and fsync. *)

@@ -372,7 +372,7 @@ let write_file_image fi path =
   (* Write, fsync, rename, fsync the directory: a crash mid-save leaves
      the previous snapshot intact, and a finished save survives power
      loss (the checkpoint/truncate protocol depends on both). *)
-  Durable_file.replace ~op:"store.fsync" path (fun oc ->
+  Durable_file.replace path (fun oc ->
       output_bytes oc (W.contents w))
 
 let save_file t path = write_file_image (file_image_of_store t) path

@@ -21,10 +21,10 @@ type tx = {
 type t = {
   db : Database.t;
   table : Lock_table.t;
-  generation : int Atomic.t;
+  mutable generation : int;
       (* bumped whenever a request blocks — the only event that can add
          a waits-for edge *)
-  searched : int Atomic.t;  (* the generation last searched clean *)
+  mutable searched : int;  (* the generation last searched clean *)
   txs : (int, tx) Hashtbl.t;
   mutable next_tx : int;
   escalation_threshold : int option;
@@ -45,8 +45,8 @@ let create ?compat ?escalation_threshold ?wal db =
   {
     db;
     table;
-    generation = Atomic.make 0;
-    searched = Atomic.make 0;
+    generation = 0;
+    searched = 0;
     txs = Hashtbl.create 16;
     next_tx = 0;
     escalation_threshold;
@@ -99,7 +99,7 @@ let acquire_set t tx locks =
       tx.tx_state <- Active;
       `Granted
   | `Blocked _ ->
-      Atomic.incr t.generation;
+      t.generation <- t.generation + 1;
       tx.tx_state <- Blocked;
       `Blocked
 
@@ -396,21 +396,18 @@ let abort t tx =
 let abort_id t id =
   match Hashtbl.find_opt t.txs id with Some tx -> abort t tx | None -> []
 
-(* Lock-free: an idle server tick reads it without the core lock. *)
-let deadlock_check_due t = Atomic.get t.generation <> Atomic.get t.searched
+let deadlock_check_due t = t.generation <> t.searched
 
 (* Searches only when a request has blocked since the last clean
-   search.  The generation is read before searching: an edge added
-   meanwhile bumps past it and stays due.  A found cycle leaves the
-   mark alone, so the search reruns after the victim's abort. *)
+   search.  A found cycle leaves the mark alone, so the search reruns
+   after the victim's abort. *)
 let find_deadlock t =
-  let gen = Atomic.get t.generation in
-  if gen = Atomic.get t.searched then None
+  if not (deadlock_check_due t) then None
   else
     match Lock_table.find_deadlock t.table with
     | Some _ as cycle -> cycle
     | None ->
-        Atomic.set t.searched gen;
+        t.searched <- t.generation;
         None
 
 (* Snapshot transactions ------------------------------------------------------ *)

@@ -8,10 +8,8 @@
     {!Scheduler} drives interleavings for the concurrency benchmarks.
 
     A manager and its one lock table are not thread-safe: the caller
-    serialises every call.  The network server does so with its
-    [txsvc.core] service lock, under which every lock-table call runs
-    (the lock table has no mutex of its own).  The one exception is
-    {!deadlock_check_due}, which only reads an [Atomic]. *)
+    serialises every call.  The network server makes every call from
+    its reactor thread (the lock table has no mutex of its own). *)
 
 open Orion_core
 
@@ -54,9 +52,9 @@ val active_count : t -> int
 
 val version_store : t -> Orion_mvcc.Version_store.t
 (** The MVCC version store every commit publishes into (directly, or —
-    under group commit — via the committer's seal hook; a replica's
-    applier feeds its manager's store itself).  Snapshot transactions
-    read from it. *)
+    under group commit — by the server's reactor when the batch comes
+    back sealed; a replica's stream feeds its server's store too).
+    Snapshot transactions read from it. *)
 
 val begin_tx : t -> tx
 val tx_id : tx -> int
@@ -154,9 +152,8 @@ val find_deadlock : t -> int list option
 
 val deadlock_check_due : t -> bool
 (** Whether a request has blocked since the last clean search — i.e.
-    whether {!find_deadlock} could possibly find anything.  Lock-free
-    (one [Atomic] generation against the clean mark), so it is safe
-    without the caller's serialisation. *)
+    whether {!find_deadlock} could possibly find anything (one
+    generation counter against the clean mark). *)
 
 (** {1 Snapshot transactions}
 

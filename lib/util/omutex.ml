@@ -5,12 +5,7 @@
    bookkeeping (class registry, site extraction) happens either at
    declaration time or only when a tracer is listening. *)
 
-type klass = {
-  k_name : string;
-  k_rank : int;
-  k_no_block : bool;
-  k_doc : string;
-}
+type klass = { k_name : string; k_rank : int; k_doc : string }
 
 (* Declarations happen at module-init time (and in tests), never on a
    hot path, so a plain mutex guards the registry.  Plain mutexes are
@@ -19,8 +14,8 @@ type klass = {
 let registry : (string, klass) Hashtbl.t = Hashtbl.create 16
 let registry_mu = Mutex.create ()
 
-let declare ?(no_block = false) ~doc ~name ~rank () =
-  let k = { k_name = name; k_rank = rank; k_no_block = no_block; k_doc = doc } in
+let declare ~doc ~name ~rank () =
+  let k = { k_name = name; k_rank = rank; k_doc = doc } in
   Mutex.lock registry_mu;
   let dup = Hashtbl.mem registry name in
   if not dup then Hashtbl.replace registry name k;
@@ -30,7 +25,6 @@ let declare ?(no_block = false) ~doc ~name ~rank () =
 
 let name k = k.k_name
 let rank k = k.k_rank
-let no_block k = k.k_no_block
 let doc k = k.k_doc
 
 let classes () =
@@ -41,37 +35,27 @@ let classes () =
 
 let hierarchy_markdown () =
   let b = Buffer.create 1024 in
-  Buffer.add_string b "| rank | class | no-block | role |\n";
-  Buffer.add_string b "|-----:|-------|----------|------|\n";
+  Buffer.add_string b "| rank | class | role |\n";
+  Buffer.add_string b "|-----:|-------|------|\n";
   List.iter
     (fun k ->
       Buffer.add_string b
-        (Printf.sprintf "| %d | `%s` | %s | %s |\n" k.k_rank k.k_name
-           (if k.k_no_block then "yes" else "—")
-           k.k_doc))
+        (Printf.sprintf "| %d | `%s` | %s |\n" k.k_rank k.k_name k.k_doc))
     (classes ());
   Buffer.contents b
 
-(* The engine hierarchy, outermost (lowest rank) first.  The rank gaps
-   are deliberate room for future classes.  Ordering arguments, in
-   brief: the service core is the outermost thing any dispatch holds
-   (the lock table has no mutex: it runs entirely under the core); the
-   obs registry sits in the middle because creation paths take it
-   while holding the core lock (label cells, per-class histograms)
-   and Obs.snapshot holds it while calling gauge
-   closures that read the tailer and the WAL; the WAL log mutex and
-   the version store are innermost — everything logs and publishes,
-   nothing is acquired under them. *)
-
-let txsvc_core =
-  declare ~no_block:true ~name:"txsvc.core" ~rank:10
-    ~doc:
-      "service core: db, lock table, sessions, tx bookkeeping; one tick at \
-       a time" ()
+(* The engine hierarchy, outermost (lowest rank) first.  Every class
+   guards state that two threads share: the reactor and the group
+   committer (inbox, batch queue, log), or any thread with the metrics
+   registry.  The rank gaps are room for future classes.  Ordering
+   arguments, in brief: Obs.snapshot holds the registry while calling
+   gauge closures that read the WAL, so the log ranks above it; the WAL
+   log mutex is innermost — everything logs, nothing is acquired under
+   it. *)
 
 let shard_inbox =
   declare ~name:"shard.inbox" ~rank:20
-    ~doc:"reactor inbox: group-commit verdicts from the committer thread" ()
+    ~doc:"reactor inbox: sealed batches from the committer thread" ()
 
 let group_commit =
   declare ~name:"wal.group_commit" ~rank:40
@@ -81,24 +65,13 @@ let obs_registry =
   declare ~name:"obs.registry" ~rank:50
     ~doc:"metrics registry; snapshot holds it across gauge closures" ()
 
-let repl_tailer =
-  declare ~name:"repl.tailer" ~rank:60
-    ~doc:"replication tailer: subscriber table and cursors" ()
-
 let wal_log =
   declare ~name:"wal.log" ~rank:70
     ~doc:"WAL append/seal/sync; held across the fsync-point by design" ()
 
-let mvcc_version_store =
-  declare ~name:"mvcc.version_store" ~rank:80
-    ~doc:"version chains and snapshot registry; innermost, pure leaf" ()
-
 type event =
   | Acquire of { cls : klass; inst : int; site : string }
   | Release of { cls : klass; inst : int }
-  | Blocking of { op : string; site : string }
-  | Allow_enter of string
-  | Allow_exit of string
 
 let enabled = ref false
 let tracer : (event -> unit) ref = ref (fun _ -> ())
@@ -178,14 +151,3 @@ let wait cond t =
   Condition.wait cond t.m;
   if !enabled then
     !tracer (Acquire { cls = t.cls; inst = t.inst; site = site () })
-
-let blocking ~op f =
-  if !enabled then !tracer (Blocking { op; site = site () });
-  f ()
-
-let allow_blocking opname f =
-  if not !enabled then f ()
-  else begin
-    !tracer (Allow_enter opname);
-    Fun.protect ~finally:(fun () -> !tracer (Allow_exit opname)) f
-  end

@@ -1,15 +1,13 @@
 (** Ranked mutexes: every internal engine mutex belongs to a declared
     {e lock class} with a rank, and (when a tracer is installed — see
-    {!Lockdep} in [orion_analysis]) each acquisition, release, blocking
-    operation, and blocking exemption is reported as an {!event}.
+    {!Lockdep} in [orion_analysis]) each acquisition and release is
+    reported as an {!event}.
 
     The hierarchy is the whole point: ranks order the classes from
     outermost (lowest rank, acquired first) to innermost, so the legal
     nesting relation is "may acquire a strictly higher rank while
     holding a lower one"; two instances of one class are never held at
-    once.  The one exception is first-class here rather than folklore:
-    {!allow_blocking} brackets code that holds a no-block class across
-    a declared durability point by design (the checkpoint bracket).
+    once.
 
     When no tracer is installed ([enabled] false), every operation is a
     flat [bool ref] test away from the raw [Mutex] call — cheap enough
@@ -19,20 +17,12 @@ type klass
 (** A lock class: one per mutex {e role}, shared by all its instances
     (two servers in one process each have a [shard_inbox]). *)
 
-val declare :
-  ?no_block:bool ->
-  doc:string ->
-  name:string ->
-  rank:int ->
-  unit ->
-  klass
-(** Declare a new lock class.  [no_block] marks classes that must never
-    be held across a blocking operation ({!blocking}).  Raises
-    [Invalid_argument] on a duplicate name. *)
+val declare : doc:string -> name:string -> rank:int -> unit -> klass
+(** Declare a new lock class.  Raises [Invalid_argument] on a duplicate
+    name. *)
 
 val name : klass -> string
 val rank : klass -> int
-val no_block : klass -> bool
 val doc : klass -> string
 
 val classes : unit -> klass list
@@ -49,24 +39,16 @@ val hierarchy_markdown : unit -> string
     ranks live in one place and {!hierarchy_markdown} can render them
     all. *)
 
-val txsvc_core : klass
 val shard_inbox : klass
 val group_commit : klass
 val obs_registry : klass
-val repl_tailer : klass
 val wal_log : klass
-val mvcc_version_store : klass
 
 (** {1 Events} *)
 
 type event =
   | Acquire of { cls : klass; inst : int; site : string }
   | Release of { cls : klass; inst : int }
-  | Blocking of { op : string; site : string }
-      (** A blocking operation (fsync, select, socket write) is about
-          to run on this thread. *)
-  | Allow_enter of string
-  | Allow_exit of string
 
 val enabled : bool ref
 (** The flat guard every wrapped operation tests.  Managed by
@@ -97,14 +79,3 @@ val wait : Condition.t -> t -> unit
 (** [Condition.wait] through the wrapper: the implicit release and
     re-acquisition are reported as events, so the held-set stays
     truthful across the wait. *)
-
-(** {1 Discipline annotations} *)
-
-val blocking : op:string -> (unit -> 'a) -> 'a
-(** Declare that [f] performs the blocking operation [op] ("wal.fsync",
-    "unix.select", "socket.write").  Holding a [no_block] class here is
-    a violation unless inside {!allow_blocking}. *)
-
-val allow_blocking : string -> (unit -> 'a) -> 'a
-(** Bracket a declared exemption: blocking inside is legal even while
-    holding no-block classes.  Nests (a depth count per thread). *)

@@ -2,29 +2,33 @@ module Obs = Orion_obs.Metrics
 module Omutex = Orion_util.Omutex
 
 (* A commit submitted for batching: its pre-captured records, the
-   counters it would seal with, and how to tell the reactor the outcome.
-   [notify] runs on the committer thread — implementations must only
-   post to the reactor's inbox (or similar), never touch reactor state. *)
-type pending = {
+   counters it would seal with, and the submitter's token for it. *)
+type 'a pending = {
   p_tx : int;
   p_records : Wal_record.t list;
   p_next_oid : int;
   p_clock : int;
   p_cc : int;
-  p_notify : ok:bool -> err:string -> unit;
+  p_member : 'a;
 }
 
-type t = {
+type 'a batch = {
+  members : 'a list;
+  clock : int;
+  records : Wal_record.t list;
+  outcome : (unit, string) result;
+}
+
+type 'a t = {
   wal : Wal.t;
   window : float;
-  on_sealed : (clock:int -> Wal_record.t list -> unit) option;
-      (* runs on the committer thread after a batch's seal is durable,
-         before any member is notified: the MVCC version store hooks in
-         here, so a batch is visible to snapshots (atomically, at the
-         one seal clock) no later than its locks release *)
+  post : 'a batch -> unit;
+      (* runs on the committer thread, once per flushed batch: it must
+         only hand the batch off (the reactor's inbox), never touch the
+         submitter's state *)
   mu : Omutex.t;
   cond : Condition.t;
-  mutable pending : pending list;  (* newest first *)
+  mutable pending : 'a pending list;  (* newest first *)
   mutable eager : bool;  (* no one else can join: flush without waiting *)
   mutable flushing : bool;
   mutable stopping : bool;
@@ -36,7 +40,7 @@ type t = {
   batch_hist : Obs.histogram;
 }
 
-let submit t ~tx ~records ~next_oid ~clock ~cc ~eager ~notify =
+let submit t ~tx ~records ~next_oid ~clock ~cc ~eager ~member =
   Omutex.lock t.mu;
   if t.stopping then begin
     Omutex.unlock t.mu;
@@ -49,7 +53,7 @@ let submit t ~tx ~records ~next_oid ~clock ~cc ~eager ~notify =
       p_next_oid = next_oid;
       p_clock = clock;
       p_cc = cc;
-      p_notify = notify;
+      p_member = member;
     }
     :: t.pending;
   if eager then t.eager <- true;
@@ -86,23 +90,19 @@ let flush_batch t batch =
   in
   (match outcome with
   | Ok () ->
-      (* Publish before notifying: members' locks must not release
-         before the batch is visible to snapshot readers. *)
-      (match t.on_sealed with
-      | Some f -> f ~clock:seal_clock records
-      | None -> ());
       Obs.incr t.batches;
       (match batch with
       | [ _ ] -> Obs.incr t.solo
       | ps -> Obs.incr t.batched ~by:(List.length ps));
       Obs.observe t.batch_hist (float_of_int (List.length batch))
   | Error _ -> ());
-  List.iter
-    (fun p ->
-      match outcome with
-      | Ok () -> p.p_notify ~ok:true ~err:""
-      | Error err -> p.p_notify ~ok:false ~err)
-    batch
+  t.post
+    {
+      members = List.map (fun p -> p.p_member) batch;
+      clock = seal_clock;
+      records;
+      outcome;
+    }
 
 let committer t () =
   let rec loop () =
@@ -143,12 +143,12 @@ let committer t () =
     if tail <> [] then flush_batch t tail
   end
 
-let create ~window ?on_sealed wal =
+let create ~window ~post wal =
   let t =
     {
       wal;
       window;
-      on_sealed;
+      post;
       mu = Omutex.create Omutex.group_commit;
       cond = Condition.create ();
       pending = [];
@@ -160,7 +160,7 @@ let create ~window ?on_sealed wal =
       batches = Obs.counter "wal.group_commit.batches";
       batched = Obs.counter "wal.group_commit.batched_txs";
       solo = Obs.counter "wal.group_commit.solo_txs";
-      batch_hist = Obs.histogram "wal.group_commit.batch_size";
+      batch_hist = Obs.histogram ~unit:Obs.Count "wal.group_commit.batch_size";
     }
   in
   t.thread <- Some (Thread.create (committer t) ());

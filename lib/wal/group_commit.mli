@@ -22,56 +22,62 @@
     The submitting reactor must have moved the transaction into the
     [Committing] state ({!Orion_tx.Tx_manager.submit_commit}) first:
     its locks stay held — strict 2PL across the sync — and it can no
-    longer be aborted.  [notify] is called exactly once from the
-    committer thread with the outcome; the reactor then finishes the
-    transaction ([complete_commit] / [commit_failed]) and replies to
-    the client.  Durability rule unchanged: the client sees the commit
-    acknowledged only after the batch's sync returned.  The network
-    server has one committer whenever a log is attached. *)
+    longer be aborted.  Once a batch's sync returned (or failed), the
+    committer posts the whole batch once, from its own thread: every
+    member's token, the seal clock and the records.  The reactor then
+    publishes the batch to the MVCC version store at that one clock and
+    only afterwards finishes each member ([complete_commit] /
+    [commit_failed]) and replies — so a batch becomes visible to
+    snapshots atomically and before its locks release.  Durability rule
+    unchanged: the client sees the commit acknowledged only after the
+    batch's sync returned.  The network server has one committer
+    whenever a log is attached. *)
 
-type t
+type 'a t
+(** A committer whose submitters identify their commits by an ['a]
+    token (the server uses the session and the transaction). *)
 
-val create :
-  window:float ->
-  ?on_sealed:(clock:int -> Wal_record.t list -> unit) ->
-  Wal.t ->
-  t
+type 'a batch = {
+  members : 'a list;  (** submission order *)
+  clock : int;  (** the seal clock: the largest member clock *)
+  records : Wal_record.t list;  (** every member's records, in order *)
+  outcome : (unit, string) result;
+      (** [Error] carries {!Wal.failure_message} of the failed write *)
+}
+
+val create : window:float -> post:('a batch -> unit) -> Wal.t -> 'a t
 (** Start the committer thread.  [window] (seconds) is how long the
     committer holds a batch open for stragglers after the first commit
-    arrives; [0.] flushes as soon as the committer is free.
-    [on_sealed] runs on the committer thread right after a batch's seal
-    became durable and {e before} any member is notified, with the
-    batch's seal clock and every member's records: the MVCC version
-    store publishes there, so the whole batch becomes visible to
-    snapshot readers atomically, no later than its locks release.  It
-    must not raise. *)
+    arrives; [0.] flushes as soon as the committer is free.  [post]
+    runs on the committer thread once per flushed batch and must only
+    hand it off (e.g. push to the reactor's inbox); it must not
+    raise. *)
 
 val submit :
-  t ->
+  'a t ->
   tx:int ->
   records:Wal_record.t list ->
   next_oid:int ->
   clock:int ->
   cc:int ->
   eager:bool ->
-  notify:(ok:bool -> err:string -> unit) ->
+  member:'a ->
   unit
 (** Enqueue one commit.  [eager] asserts no other in-flight transaction
-    could join the batch (the submitter holds the service lock and sees
-    every open transaction), letting the committer skip the window —
-    group commit then adds no latency to a lone client.  [notify] runs
-    on the committer thread and must only hand the outcome off (e.g.
-    post to a shard inbox).
+    could join the batch (the submitter sees every open transaction),
+    letting the committer skip the window — group commit then adds no
+    latency to a lone client.  [member] comes back in the batch's
+    {!batch.members}.
     @raise Invalid_argument after {!shutdown}/{!kill}. *)
 
-val quiescent : t -> bool
+val quiescent : 'a t -> bool
 (** No commit is submitted but not yet durable (nor a batch being
     flushed right now) — checkpoints must only run here. *)
 
-val shutdown : t -> unit
+val shutdown : 'a t -> unit
 (** Drain: flush any pending batch, then stop and join the committer
     thread.  Part of graceful server stop. *)
 
-val kill : t -> unit
+val kill : 'a t -> unit
 (** Simulated kill -9: stop without flushing — submitted-but-unsynced
     commits are lost, exactly as un-acknowledged commits should be. *)

@@ -22,8 +22,8 @@ type fault = { kind : fault_kind; mutable remaining : int }
 type t = {
   mutable buf : Buffer.t;
   (* The log buffer is shared between the reactor (via the mutator
-     observers), the group-commit committer thread and a replica's
-     applier; every buffer
+     observers, and a replica's mirror appends) and the group-commit
+     committer thread; every buffer
      mutation or read happens under [mu].  The mutex is never held
      across a callback, so there is no nesting.  Ranked wal.log: held
      across the fsync-point by design — that cost is exactly what
@@ -165,7 +165,7 @@ let backing_io t f =
    this also (re)opens the append descriptor. *)
 let replace_unlocked t path =
   let replace () =
-    Durable_file.replace ?fault:(file_fault t) ~op:"wal.fsync" path
+    Durable_file.replace ?fault:(file_fault t) path
       (fun oc -> Buffer.output_buffer oc t.buf)
   in
   if t.backing <> Some path then replace ()
@@ -201,7 +201,7 @@ let sync_unlocked t =
       if t.written < len then
         backing_io t (fun () ->
             let fresh = Buffer.sub t.buf t.written (len - t.written) in
-            Durable_file.append ?fault:(file_fault t) ~op:"wal.fsync" fd
+            Durable_file.append ?fault:(file_fault t) fd
               fresh ~pos:0 ~len:(String.length fresh);
             t.written <- len));
   t.durable <- len;
@@ -221,7 +221,7 @@ let tear t ~bytes =
       | Some _, Some fd ->
           if t.written > keep then
             backing_io t (fun () ->
-                Durable_file.truncate ~op:"wal.fsync" fd keep;
+                Durable_file.truncate fd keep;
                 t.written <- keep))
 
 let truncate t =
@@ -420,10 +420,8 @@ let attach ?snapshot_path ?(truncate_on_checkpoint = true) t db =
        | Database.Ckpt_end ->
            (* Force: every dirty page reaches the disk (and hence the
               log) before the checkpoint record seals the bracket.
-              Checkpoints run under the service lock on purpose — the
-              bracket must not interleave with mutators — so the fsync
-              inside is a declared lockdep exemption. *)
-           Omutex.allow_blocking "checkpoint-durability" @@ fun () ->
+              Checkpoints run on the reactor between requests, so the
+              bracket never interleaves with mutators. *)
            let store = Database.store db in
            Store.flush store;
            (match snapshot_path with

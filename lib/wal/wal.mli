@@ -191,8 +191,8 @@ val log_batch : t -> records:Wal_record.t list -> seal:Wal_record.t -> unit
 
     Every operation that touches the log buffer takes an internal
     mutex, so the threads that share one log — the reactor (journaling
-    page writes, checkpoints, pumping the replication tailer), the
-    group committer and a replica's applier — never see a torn
-    buffer.  Observability
+    page writes, checkpoints, pumping the replication tailer, a
+    replica's mirror appends) and the group committer — never see a
+    torn buffer.  Observability
     counters follow the registry-wide convention: racing increments may
     lose a count, never crash. *)

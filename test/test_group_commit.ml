@@ -55,6 +55,18 @@ let open_tx manager tag =
       : Oid.t);
   (tx, node)
 
+(* A committer whose members are their submitters' verdict callbacks:
+   each posted batch calls every member back with the batch's outcome. *)
+let committer ~window wal =
+  Group_commit.create ~window wal
+    ~post:(fun { Group_commit.members; outcome; _ } ->
+      List.iter
+        (fun notify ->
+          match outcome with
+          | Ok () -> notify ~ok:true ~err:""
+          | Error err -> notify ~ok:false ~err)
+        members)
+
 (* Capture all after-images first, then submit everything inside the
    window, then wait for the committer's verdicts. *)
 let submit_all gc manager txs ~eager =
@@ -64,7 +76,7 @@ let submit_all gc manager txs ~eager =
   List.iter
     (fun (tx, (records, (next_oid, clock, cc))) ->
       Group_commit.submit gc ~tx:(Tx.tx_id tx) ~records ~next_oid ~clock ~cc
-        ~eager ~notify:(fun ~ok ~err ->
+        ~eager ~member:(fun ~ok ~err ->
           Mutex.lock mu;
           verdicts := (Tx.tx_id tx, ok, err) :: !verdicts;
           Mutex.unlock mu))
@@ -101,7 +113,7 @@ let test_batch_seals_once () =
   let txs = List.map fst opened in
   (* A long window next to a fast submit loop: all three land in one
      batch deterministically. *)
-  let gc = Group_commit.create ~window:0.2 wal in
+  let gc = committer ~window:0.2 wal in
   let syncs_before = syncs () in
   let verdicts = submit_all gc manager txs ~eager:false in
   List.iter
@@ -140,7 +152,7 @@ let test_batch_seals_once () =
 let test_solo_commit_seals_plain () =
   let _db, wal, manager = boot () in
   let tx, _node = open_tx manager 7 in
-  let gc = Group_commit.create ~window:0.2 wal in
+  let gc = committer ~window:0.2 wal in
   let verdicts = submit_all gc manager [ tx ] ~eager:true in
   (match verdicts with
   | [ (_, true, _) ] -> ()
@@ -163,7 +175,7 @@ let test_fail_mid_batch_aborts_all () =
   (* Let one record of the batch reach the log, then crash: the seal
      never lands, so durably the batch never happened. *)
   Wal.inject_fault wal (Some (`Fail_after 1));
-  let gc = Group_commit.create ~window:0.05 wal in
+  let gc = committer ~window:0.05 wal in
   let verdicts = submit_all gc manager [ tx1; tx2 ] ~eager:false in
   List.iter
     (fun (tx, ok, _) ->
@@ -195,13 +207,13 @@ let test_torn_seal_replays_nothing () =
     List.fold_left (fun n (_, (rs, _)) -> n + List.length rs) 0 captured
   in
   Wal.inject_fault wal (Some (`Torn_after n_records));
-  let gc = Group_commit.create ~window:0.05 wal in
+  let gc = committer ~window:0.05 wal in
   let mu = Mutex.create () in
   let verdicts = ref [] in
   List.iter
     (fun (tx, (records, (next_oid, clock, cc))) ->
       Group_commit.submit gc ~tx:(Tx.tx_id tx) ~records ~next_oid ~clock ~cc
-        ~eager:false ~notify:(fun ~ok ~err:_ ->
+        ~eager:false ~member:(fun ~ok ~err:_ ->
           Mutex.lock mu;
           verdicts := (Tx.tx_id tx, ok) :: !verdicts;
           Mutex.unlock mu))
@@ -277,7 +289,7 @@ let test_fsck_clean_on_group_committed_store () =
   let db, wal, manager, wal_path = boot_backed () in
   let tx1, _ = open_tx manager 1 in
   let tx2, _ = open_tx manager 2 in
-  let gc = Group_commit.create ~window:0.2 wal in
+  let gc = committer ~window:0.2 wal in
   let verdicts = submit_all gc manager [ tx1; tx2 ] ~eager:false in
   List.iter
     (fun (tx, ok, err) ->
@@ -294,7 +306,7 @@ let test_fsck_clean_on_group_committed_store () =
    refused too, on either path. *)
 let test_io_error_fails_batch_durably () =
   let _db, wal, manager, wal_path = boot_backed () in
-  let gc = Group_commit.create ~window:0.05 wal in
+  let gc = committer ~window:0.05 wal in
   let tx1, node1 = open_tx manager 1 in
   (match solo gc manager tx1 with
   | true, _ -> ignore (Tx.complete_commit manager tx1 : int list)
@@ -378,7 +390,7 @@ let test_check_out_skips_log () =
    log: recovery from the file alone reproduces the live state. *)
 let test_mixed_run_recovers () =
   let db, wal, manager, wal_path = boot_backed () in
-  let gc = Group_commit.create ~window:0.01 wal in
+  let gc = committer ~window:0.01 wal in
   let nodes = ref [] in
   for i = 1 to 20 do
     if i mod 4 = 0 then begin

@@ -22,6 +22,10 @@ let beta =
 let gamma =
   Omutex.declare ~doc:"test: nesting-free class" ~name:"test.gamma" ~rank:110 ()
 
+(* An outermost class, ranked below every engine class, so taking it
+   under the engine's wal.log is a rank inversion. *)
+let core = Omutex.declare ~doc:"test: outermost class" ~name:"test.core" ~rank:10 ()
+
 let acq ?(inst = 0) ~site cls = Omutex.Acquire { cls; inst; site }
 let rel ?(inst = 0) cls = Omutex.Release { cls; inst }
 
@@ -50,10 +54,10 @@ let test_clean_run () =
   let eng = Lockdep.create_engine () in
   feed eng "t1"
     [
-      acq ~site:"a.ml:1" Omutex.txsvc_core;
+      acq ~site:"a.ml:1" core;
       acq ~site:"a.ml:2" Omutex.wal_log;
       rel Omutex.wal_log;
-      rel Omutex.txsvc_core;
+      rel core;
       acq ~inst:0 ~site:"a.ml:3" Omutex.shard_inbox;
       rel ~inst:0 Omutex.shard_inbox;
       acq ~inst:1 ~site:"a.ml:4" Omutex.shard_inbox;
@@ -63,10 +67,10 @@ let test_clean_run () =
      edges, never findings. *)
   feed eng "t2"
     [
-      acq ~site:"b.ml:1" Omutex.txsvc_core;
+      acq ~site:"b.ml:1" core;
       acq ~site:"b.ml:2" Omutex.wal_log;
       rel Omutex.wal_log;
-      rel Omutex.txsvc_core;
+      rel core;
     ];
   Alcotest.(check (list string)) "no findings" [] (codes eng);
   Alcotest.(check bool) "edges observed" true (Lockdep.edge_count eng >= 1)
@@ -74,7 +78,7 @@ let test_clean_run () =
 let test_rank_inversion () =
   let eng = Lockdep.create_engine () in
   feed eng "t1"
-    [ acq ~site:"w.ml:10" Omutex.wal_log; acq ~site:"c.ml:20" Omutex.txsvc_core ];
+    [ acq ~site:"w.ml:10" Omutex.wal_log; acq ~site:"c.ml:20" core ];
   match find_code eng "rank-inversion" with
   | None -> Alcotest.fail "rank inversion missed"
   | Some f ->
@@ -127,59 +131,29 @@ let test_same_class_nesting () =
   Alcotest.(check bool) "nesting flagged" true
     (find_code eng "same-class-nesting" <> None)
 
-let test_held_across_blocking () =
-  let eng = Lockdep.create_engine () in
-  feed eng "t1"
-    [
-      acq ~site:"c.ml:1" Omutex.txsvc_core;
-      Omutex.Blocking { op = "wal.fsync"; site = "f.ml:9" };
-    ];
-  (match find_code eng "held-across-blocking" with
-  | None -> Alcotest.fail "blocking under no-block class missed"
-  | Some f ->
-      Alcotest.(check bool) "warning, not error" true
-        (f.SA.severity = SA.Warning);
-      Alcotest.(check bool) "op and site named" true
-        (detail_mentions f "wal.fsync" && detail_mentions f "f.ml:9"));
-  (* The same shape inside an allow_blocking bracket is the declared
-     exemption — silent.  wal.log is not a no-block class at all. *)
-  let eng = Lockdep.create_engine () in
-  feed eng "t1"
-    [
-      acq ~site:"c.ml:1" Omutex.txsvc_core;
-      Omutex.Allow_enter "checkpoint-durability";
-      Omutex.Blocking { op = "wal.fsync"; site = "f.ml:9" };
-      Omutex.Allow_exit "checkpoint-durability";
-      rel Omutex.txsvc_core;
-      acq ~site:"w.ml:2" Omutex.wal_log;
-      Omutex.Blocking { op = "wal.fsync"; site = "f.ml:10" };
-    ];
-  Alcotest.(check (list string)) "exemption and non-no-block are clean" []
-    (codes eng)
-
 (* Findings dedup: the same inverted pair observed a thousand times is
-   one finding, and the severity sort puts errors first. *)
+   one finding; exit codes follow the worst severity. *)
 let test_dedup_and_ordering () =
   let eng = Lockdep.create_engine () in
-  feed eng "t1" [ acq ~site:"c.ml:1" Omutex.txsvc_core ];
-  feed eng "t1" [ Omutex.Blocking { op = "unix.select"; site = "s.ml:1" } ];
   for _ = 1 to 1000 do
     feed eng "t2"
       [
         acq ~site:"w.ml:1" Omutex.wal_log;
-        acq ~site:"c.ml:2" Omutex.txsvc_core;
-        rel Omutex.txsvc_core;
+        acq ~site:"c.ml:2" core;
+        rel core;
         rel Omutex.wal_log;
       ]
   done;
   let fs = Lockdep.engine_findings eng in
-  Alcotest.(check int) "one warning + one error" 2 (List.length fs);
-  Alcotest.(check bool) "error sorts first" true
+  Alcotest.(check int) "one error" 1 (List.length fs);
+  Alcotest.(check bool) "it is an error" true
     ((List.hd fs).SA.severity = SA.Error);
   Alcotest.(check int) "exit code is 2" 2 (Lockdep.exit_code fs);
+  let with_severity severity = { (List.hd fs) with SA.severity } in
   Alcotest.(check int) "warning alone is 1" 1
-    (Lockdep.exit_code
-       (List.filter (fun f -> f.SA.severity = SA.Warning) fs));
+    (Lockdep.exit_code [ with_severity SA.Warning ]);
+  Alcotest.(check int) "info alone is 0" 0
+    (Lockdep.exit_code [ with_severity SA.Info ]);
   Alcotest.(check int) "clean is 0" 0 (Lockdep.exit_code []);
   List.iter
     (fun f ->
@@ -188,6 +162,30 @@ let test_dedup_and_ordering () =
         | _ -> true
         | exception _ -> false))
     fs
+
+(* The one-thread finding: a class shared by two threads is not named;
+   one taken only ever by a single thread is, as an info finding that
+   fails nothing.  Instances are per process: two processes each taking
+   their own mutex of a class from one thread still name it. *)
+let test_single_thread_class () =
+  let eng = Lockdep.create_engine () in
+  feed eng "7.0.1" [ acq ~site:"a.ml:1" alpha; rel alpha ];
+  feed eng "7.0.2" [ acq ~site:"a.ml:2" alpha; rel alpha ];
+  feed eng "7.0.1" [ acq ~site:"g.ml:1" gamma; rel gamma ];
+  feed eng "7.0.1" [ acq ~site:"g.ml:2" gamma; rel gamma ];
+  feed eng "8.0.1" [ acq ~site:"b.ml:1" beta; rel beta ];
+  feed eng "9.0.5" [ acq ~site:"b.ml:1" beta; rel beta ];
+  Alcotest.(check (list string)) "no detector finding" [] (codes eng);
+  let fs = Lockdep.single_thread_findings eng in
+  Alcotest.(check (list string)) "the single-thread classes"
+    [ "test.beta"; "test.gamma" ]
+    (List.map (fun f -> f.SA.cls) fs);
+  List.iter
+    (fun f ->
+      Alcotest.(check string) "code" "single-thread-class" f.SA.code;
+      Alcotest.(check bool) "info" true (f.SA.severity = SA.Info))
+    fs;
+  Alcotest.(check int) "never fails a run" 0 (Lockdep.exit_code fs)
 
 (* Real Omutex traffic: a private engine watches actual lock/unlock
    calls through set_tracer, including the site capture.  The global
@@ -205,7 +203,7 @@ let with_private_engine f =
 
 let test_live_traffic () =
   with_private_engine (fun eng ->
-      let core = Omutex.create Omutex.txsvc_core in
+      let core = Omutex.create core in
       let wal = Omutex.create Omutex.wal_log in
       (* Clean direction. *)
       Omutex.with_lock core (fun () -> Omutex.with_lock wal (fun () -> ()));
@@ -222,7 +220,7 @@ let test_live_traffic () =
 
 let test_live_try_lock_and_wait () =
   with_private_engine (fun eng ->
-      let core = Omutex.create Omutex.txsvc_core in
+      let core = Omutex.create core in
       (* try_lock failure must NOT enter the held-set: a successful
          re-lock afterwards would otherwise be a false recursive-lock. *)
       Omutex.lock core;
@@ -269,15 +267,11 @@ let test_trace_roundtrip () =
       rel alpha;
     ];
   feed eng "7.0.2" [ acq ~site:"y.ml:8" beta; acq ~site:"y.ml:9" alpha ];
-  feed eng "7.0.1"
-    [
-      acq ~site:"c.ml:1" Omutex.txsvc_core;
-      Omutex.Blocking { op = "unix.select"; site = "s.ml:3" };
-      Omutex.Allow_enter "checkpoint-durability";
-      Omutex.Allow_exit "checkpoint-durability";
-    ];
+  feed eng "7.0.1" [ acq ~site:"c.ml:1" core; rel core ];
   Lockdep.flush_trace eng;
-  let live = Lockdep.engine_findings eng in
+  let live = Lockdep.engine_findings eng @ Lockdep.single_thread_findings eng in
+  Alcotest.(check bool) "the replay covers the one-thread finding" true
+    (List.exists (fun f -> f.SA.code = "single-thread-class") live);
   let replayed = Lockdep.check_trace path in
   Alcotest.(check (list string)) "same findings, same order"
     (List.map (fun f -> f.SA.code) live)
@@ -320,10 +314,10 @@ let () =
           Alcotest.test_case "recursive lock" `Quick test_recursive_lock;
           Alcotest.test_case "same-class nesting" `Quick
             test_same_class_nesting;
-          Alcotest.test_case "held across blocking" `Quick
-            test_held_across_blocking;
           Alcotest.test_case "dedup, ordering, exit codes" `Quick
             test_dedup_and_ordering;
+          Alcotest.test_case "single-thread class" `Quick
+            test_single_thread_class;
         ] );
       ( "live",
         [

@@ -226,8 +226,8 @@ let test_snapshot_takes_no_locks () =
 
 (* Group commit ----------------------------------------------------------------- *)
 
-(* A database wired to an in-memory log whose group committer feeds the
-   manager's version store — the same hook the server installs. *)
+(* A database wired to an in-memory log; commits below go through a
+   group committer. *)
 let boot_wal () =
   let db = fixture () in
   let wal = Wal.create () in
@@ -236,11 +236,23 @@ let boot_wal () =
   let manager = Tx.create ~wal db in
   (db, wal, manager)
 
-let wire_gc ?(window = 0.2) wal manager =
-  Group_commit.create ~window
-    ~on_sealed:(fun ~clock records ->
-      Version_store.publish_records (Tx.version_store manager) ~clock records)
-    wal
+(* A committer that posts each sealed batch into an inbox, as the
+   server's does; {!submit_all}'s caller then plays the reactor. *)
+let wire_gc ?(window = 0.2) wal =
+  let mu = Mutex.create () and inbox = Queue.create () in
+  let gc =
+    Group_commit.create ~window wal ~post:(fun batch ->
+        Mutex.lock mu;
+        Queue.push batch inbox;
+        Mutex.unlock mu)
+  in
+  let take () =
+    Mutex.lock mu;
+    let batch = Queue.take_opt inbox in
+    Mutex.unlock mu;
+    batch
+  in
+  (gc, take)
 
 let open_family manager tag =
   let tx = Tx.begin_tx manager in
@@ -251,70 +263,65 @@ let open_family manager tag =
       : Oid.t);
   (tx, node)
 
-let submit_all gc manager txs =
+(* Submit every transaction, then handle the posted batches the way the
+   reactor does: publish a sealed batch at its seal clock, and only then
+   report its members.  [sight] runs on this thread between inbox polls
+   and right after each publication — wherever a reactor could begin a
+   snapshot. *)
+let submit_all ?(sight = ignore) (gc, take) manager txs =
   let captured = List.map (fun tx -> (tx, Tx.submit_commit manager tx)) txs in
-  let mu = Mutex.create () in
-  let verdicts = ref [] in
   List.iter
     (fun (tx, (records, (next_oid, clock, cc))) ->
       Group_commit.submit gc ~tx:(Tx.tx_id tx) ~records ~next_oid ~clock ~cc
-        ~eager:false ~notify:(fun ~ok ~err:_ ->
-          Mutex.lock mu;
-          verdicts := (Tx.tx_id tx, ok) :: !verdicts;
-          Mutex.unlock mu))
+        ~eager:false ~member:(Tx.tx_id tx))
     captured;
   let deadline = Unix.gettimeofday () +. 10. in
-  let all_in () =
-    Mutex.lock mu;
-    let n = List.length !verdicts in
-    Mutex.unlock mu;
-    n = List.length txs
-  in
-  while (not (all_in ())) && Unix.gettimeofday () < deadline do
-    Thread.delay 0.005
+  let verdicts = ref [] in
+  while List.length !verdicts < List.length txs
+        && Unix.gettimeofday () < deadline do
+    sight ();
+    match take () with
+    | None -> Thread.delay 0.005
+    | Some { Group_commit.members; clock; records; outcome } ->
+        let ok = Result.is_ok outcome in
+        if ok then begin
+          Version_store.publish_records (Tx.version_store manager) ~clock
+            records;
+          sight ()
+        end;
+        List.iter (fun tx -> verdicts := (tx, ok) :: !verdicts) members
   done;
-  if not (all_in ()) then Alcotest.fail "committer never reported";
+  if List.length !verdicts < List.length txs then
+    Alcotest.fail "committer never reported";
   !verdicts
 
-(* Satellite: a group-commit batch becomes visible to snapshots
-   atomically — every concurrent snapshot sees none or all of it. *)
+(* A group-commit batch becomes visible to snapshots atomically: every
+   snapshot begun while it commits sees none or all of it. *)
 let test_group_commit_all_or_none () =
   let db, wal, manager = boot_wal () in
   let vs = Tx.version_store manager in
   let opened = List.map (open_family manager) [ 1; 2; 3 ] in
   let txs = List.map fst opened and nodes = List.map snd opened in
   let s0 = Tx.begin_snapshot manager in
-  (* Hammer the store with snapshots from another thread while the
-     batch commits; record any partial sighting. *)
-  let stop = ref false and partial = ref false in
-  let poller =
-    Thread.create
-      (fun () ->
-        let id = ref 1_000_000 in
-        while not !stop do
-          incr id;
-          let clock = Version_store.open_snap vs ~id:!id in
-          let view =
-            Snapshot_read.make ~store:vs ~db ~id:!id ~clock
-          in
-          let seen =
-            List.length (List.filter (Snapshot_read.exists view) nodes)
-          in
-          if seen <> 0 && seen <> 3 then partial := true;
-          Version_store.close_snap vs ~id:!id
-        done)
-      ()
+  let partial = ref false and sightings = ref 0 and id = ref 1_000_000 in
+  let sight () =
+    incr id;
+    incr sightings;
+    let clock = Version_store.open_snap vs ~id:!id in
+    let view = Snapshot_read.make ~store:vs ~db ~id:!id ~clock in
+    let seen = List.length (List.filter (Snapshot_read.exists view) nodes) in
+    if seen <> 0 && seen <> 3 then partial := true;
+    Version_store.close_snap vs ~id:!id
   in
-  let gc = wire_gc wal manager in
-  let verdicts = submit_all gc manager txs in
+  let gc = wire_gc wal in
+  let verdicts = submit_all ~sight gc manager txs in
   List.iter
     (fun (tx, ok) ->
       if not ok then Alcotest.failf "tx %d failed to commit" tx)
     verdicts;
   List.iter (fun tx -> ignore (Tx.complete_commit manager tx : int list)) txs;
-  stop := true;
-  Thread.join poller;
-  Group_commit.shutdown gc;
+  Group_commit.shutdown (fst gc);
+  Alcotest.(check bool) "snapshots were taken mid-commit" true (!sightings > 1);
   Alcotest.(check bool) "no snapshot ever saw a partial batch" false !partial;
   Alcotest.(check int) "pre-batch snapshot sees none of it" 0
     (List.length
@@ -343,13 +350,13 @@ let test_crash_mid_batch_snapshot_agrees_with_replay () =
   let baseline = Database.count db in
   let (tx1, n1) = open_family manager 1 and (tx2, n2) = open_family manager 2 in
   Wal.inject_fault wal (Some (`Fail_after 1));
-  let gc = wire_gc ~window:0.05 wal manager in
+  let gc = wire_gc ~window:0.05 wal in
   let verdicts = submit_all gc manager [ tx1; tx2 ] in
   List.iter
     (fun (tx, ok) ->
       Alcotest.(check bool) (Printf.sprintf "tx %d reported failed" tx) false ok)
     verdicts;
-  Group_commit.kill gc;
+  Group_commit.kill (fst gc);
   ignore (Tx.commit_failed manager tx1 : int list);
   ignore (Tx.commit_failed manager tx2 : int list);
   (* Replay of the surviving bytes: the pre-crash commit, nothing else. *)
@@ -490,8 +497,8 @@ let start_primary dir =
   let thread = Thread.create Server.run server in
   (server, thread, Orion_protocol.Addr.Unix_path sock)
 
-(* A replica as `orion serve --replica-of` builds one, version store
-   wired so snapshot reads answer at the applied clock. *)
+(* A replica as `orion serve --replica-of` builds one: the server wires
+   its version store so snapshot reads answer at the applied clock. *)
 let start_replica dir primary_addr =
   let db_path = Filename.concat dir "r.odb" in
   let sock = Filename.concat dir "r.sock" in
@@ -505,11 +512,6 @@ let start_replica dir primary_addr =
       ~repl:(Tx_service.Replica_of { replica; promote_gate = None })
       env (Server.Unix_path sock)
   in
-  Replica.set_locked replica (fun f ->
-      Tx_service.with_lock (Server.service server) f);
-  Replica.set_mvcc replica
-    (Tx.version_store (Server.service server).Tx_service.manager);
-  Replica.start replica;
   let thread = Thread.create Server.run server in
   (server, thread, replica, db, Orion_protocol.Addr.Unix_path sock)
 

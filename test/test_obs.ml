@@ -116,6 +116,7 @@ let test_stats_reply_roundtrip () =
   let h = Obs.histogram ~registry "c.seconds" in
   Obs.observe h 0.004;
   Obs.observe h 0.25;
+  Obs.observe (Obs.histogram ~registry ~unit:Obs.Count "d.batch_size") 3.;
   let snap = Obs.snapshot ~registry () in
   let decoded =
     match Message.decode_server (Message.encode_server (Message.Reply (Message.Stats_reply snap))) with
@@ -132,6 +133,7 @@ let test_stats_reply_roundtrip () =
   List.iter2
     (fun (name, (s : Obs.histogram_summary)) (name', (d : Obs.histogram_summary)) ->
       Alcotest.(check string) "histogram name" name name';
+      Alcotest.(check bool) "unit" true (s.Obs.unit = d.Obs.unit);
       Alcotest.(check int) "count" s.Obs.count d.Obs.count;
       let close a b = Float.abs (a -. b) < 1e-9 in
       Alcotest.(check bool) "floats survive" true
@@ -146,6 +148,28 @@ let test_stats_reply_roundtrip () =
       Alcotest.(check bool) "empty snapshot" true
         (s.Obs.counters = [] && s.Obs.gauges = [] && s.Obs.histograms = [])
   | _ -> Alcotest.fail "empty snapshot decoded to a different message"
+
+(* A histogram of counts prints its values as counts: one batch of one
+   commit reads 1, not 1000ms.  Durations still print in milliseconds. *)
+let test_pp_count_histogram () =
+  let registry = Obs.create_registry () in
+  Obs.observe (Obs.histogram ~registry ~unit:Obs.Count "t.batch_size") 1.;
+  Obs.observe (Obs.histogram ~registry "t.seconds") 0.002;
+  let rendered = Format.asprintf "%a" Obs.pp_snapshot (Obs.snapshot ~registry ()) in
+  let line name =
+    List.find
+      (fun l -> contains_sub l name)
+      (String.split_on_char '\n' rendered)
+  in
+  Alcotest.(check string) "count histogram unscaled"
+    (Printf.sprintf "%-32s n=1 p50=1 p95=1 p99=1 max=1" "t.batch_size")
+    (line "t.batch_size");
+  Alcotest.(check bool) "its buckets unscaled too" true
+    (contains_sub rendered "buckets: <=1:1");
+  Alcotest.(check string) "seconds histogram in milliseconds"
+    (Printf.sprintf "%-32s n=1 p50=2.000ms p95=2.000ms p99=2.000ms max=2.000ms"
+       "t.seconds")
+    (line "t.seconds ")
 
 let test_one_line_and_pp () =
   let registry = Obs.create_registry () in
@@ -214,6 +238,8 @@ let () =
             test_registry_replaces_on_collision;
           Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
           Alcotest.test_case "one_line and pp" `Quick test_one_line_and_pp;
+          Alcotest.test_case "count histogram unscaled" `Quick
+            test_pp_count_histogram;
           Alcotest.test_case "labels" `Quick test_labels;
           Alcotest.test_case "rates" `Quick test_rates;
         ] );

@@ -35,8 +35,8 @@ let schema_forms =
 let connect addr = Client.connect ~client_name:"test" addr
 
 (* Spin until [probe ()] or give up: replication is asynchronous by
-   design (ship on the primary's tick, apply on the replica's thread),
-   so assertions about the replica's state must wait for the stream. *)
+   design (ship on the primary's tick, apply on the replica's), so
+   assertions about the replica's state must wait for the stream. *)
 let eventually ?(timeout = 10.) probe =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =
@@ -60,13 +60,24 @@ type primary = {
 
 (* A primary exactly as `orion serve DB --repl` builds one: log attached
    with offsets preserved across checkpoints, one sealed checkpoint on
-   disk (replicas bootstrap from it), a tailer on the log. *)
-let start_primary dir =
+   disk (replicas bootstrap from it), a tailer on the log.  [restart]
+   resumes the store and log a previous primary left in [dir], as a
+   `--repl` restart does. *)
+let start_primary ?(restart = false) dir =
   let db_path = Filename.concat dir "p.odb" in
   let sock = Filename.concat dir "p.sock" in
-  let env = Eval.create_env () in
-  ignore (Eval.eval_program env schema_forms : Eval.v list);
-  let wal = Wal.create () in
+  let env, wal =
+    if restart then
+      let wal = Wal.load_file (db_path ^ ".wal") in
+      let snapshot = Orion_storage.Store.load_file db_path in
+      let db, _ = Recovery.replay ~snapshot wal in
+      (Eval.create_env ~db (), wal)
+    else begin
+      let env = Eval.create_env () in
+      ignore (Eval.eval_program env schema_forms : Eval.v list);
+      (env, Wal.create ())
+    end
+  in
   Wal.attach ~snapshot_path:db_path ~truncate_on_checkpoint:false wal
     (Eval.database env);
   Wal.set_backing wal (Some (db_path ^ ".wal"));
@@ -97,8 +108,8 @@ type replica_node = {
 }
 
 (* A replica exactly as `orion serve DB --replica-of ADDR` builds one:
-   bootstrap synchronously, serve through a Replica_of server, apply
-   under the service lock. *)
+   bootstrap synchronously, then serve through a Replica_of server,
+   whose reactor streams and applies the rest. *)
 let start_replica dir primary_addr =
   let db_path = Filename.concat dir "r.odb" in
   let sock = Filename.concat dir "r.sock" in
@@ -112,12 +123,6 @@ let start_replica dir primary_addr =
       ~repl:(Tx_service.Replica_of { replica; promote_gate = None })
       env (Server.Unix_path sock)
   in
-  Replica.set_locked replica (fun f ->
-      Tx_service.with_lock (Server.service server) f);
-  Replica.set_mvcc replica
-    (Orion_tx.Tx_manager.version_store
-       (Server.service server).Tx_service.manager);
-  Replica.start replica;
   let thread = Thread.create Server.run server in
   {
     r_server = server;
@@ -206,10 +211,10 @@ let test_replica_refuses_writes () =
 
 (* Failover --------------------------------------------------------------------- *)
 
-let solo_txs () =
-  Option.value
-    (Obs.find_counter (Obs.snapshot ()) "wal.group_commit.solo_txs")
-    ~default:0
+let counter name =
+  Option.value (Obs.find_counter (Obs.snapshot ()) name) ~default:0
+
+let solo_txs () = counter "wal.group_commit.solo_txs"
 
 let test_promote_after_kill () =
   let dir = temp_dir () in
@@ -247,12 +252,16 @@ let test_promote_after_kill () =
         (Database.count r.r_db);
       (* The promoted node commits through a group committer, like any
          primary, not inline on its reactor. *)
-      let solo_before = solo_txs () in
+      let solo_before = solo_txs () and syncs_before = counter "wal.syncs" in
       commit_part rc "post-failover";
       Alcotest.(check int) "writes land after promotion" 3
         (Database.count r.r_db);
       Alcotest.(check int) "post-failover commit sealed by the committer" 1
         (solo_txs () - solo_before);
+      (* The node's stats report its own log's live counters, not
+         zeros registered over them. *)
+      Alcotest.(check bool) "post-failover commit synced the log" true
+        (counter "wal.syncs" > syncs_before && counter "wal.syncs" > 0);
       (* Promoting twice is refused with a typed replication error. *)
       Alcotest.(check bool) "second promote refused" true
         (match Client.promote rc with
@@ -281,6 +290,74 @@ let test_promote_after_kill () =
       Alcotest.(check (list string)) "post-failover commit replays"
         [ "post-failover"; "pre-crash-1"; "pre-crash-2" ]
         (List.sort compare names))
+
+(* Reconnect --------------------------------------------------------------------- *)
+
+let make_part client name =
+  ignore (Client.begin_tx client : int);
+  let oid = Client.make client ~cls:"Part" ~attrs:[ ("Name", Value.Str name) ] () in
+  Client.commit client;
+  oid
+
+(* The replica's reactor dials the primary without blocking: with
+   nothing listening at the primary's address it keeps answering its
+   own clients, and once a primary is back on the same store and socket
+   the stream resumes where the replica's log ends. *)
+let test_reconnect () =
+  let dir = temp_dir () in
+  let p = start_primary dir in
+  let r = start_replica dir p.p_addr in
+  let restarted = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop r.r_server;
+      Thread.join r.r_thread;
+      Replica.stop r.r_replica;
+      match !restarted with
+      | Some p' ->
+          Server.stop p'.p_server;
+          Thread.join p'.p_thread
+      | None -> ())
+    (fun () ->
+      let c = connect p.p_addr in
+      let before = make_part c "before" in
+      Client.close c;
+      Alcotest.(check bool) "replica applied the first write" true
+        (eventually (fun () -> Database.count r.r_db = 1));
+      Server.stop p.p_server;
+      Thread.join p.p_thread;
+      Alcotest.(check bool) "nothing listens at the primary's address" true
+        (match connect p.p_addr with
+        | exception (Unix.Unix_error _ | Client.Disconnected _) -> true
+        | c ->
+            Client.close c;
+            false);
+      (* Several rounds, so redial attempts fall between them. *)
+      let rc = connect r.r_addr in
+      for round = 1 to 5 do
+        let t0 = Unix.gettimeofday () in
+        Client.ping rc;
+        ignore (Client.begin_snapshot rc : int);
+        let name = Client.read_attr rc before "Name" in
+        Client.end_snapshot rc;
+        let elapsed = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool) "snapshot read while the primary is away" true
+          (name = Value.Str "before");
+        if elapsed > 1. then
+          Alcotest.failf "round %d: ping and snapshot read took %.2fs" round
+            elapsed;
+        Thread.delay 0.3
+      done;
+      Client.close rc;
+      let p' = start_primary ~restart:true dir in
+      restarted := Some p';
+      let c = connect p'.p_addr in
+      ignore (make_part c "after" : Oid.t);
+      Client.close c;
+      Alcotest.(check bool) "replica applies the restarted primary's write" true
+        (eventually (fun () -> Database.count r.r_db = 2));
+      Alcotest.(check bool) "the stream redialled" true
+        (counter "repl.reconnects" >= 1))
 
 (* Tailer edges ----------------------------------------------------------------- *)
 
@@ -375,6 +452,11 @@ let () =
         [
           Alcotest.test_case "kill-9, promote, write" `Quick
             test_promote_after_kill;
+        ] );
+      ( "reconnect",
+        [
+          Alcotest.test_case "serves while the primary is away" `Quick
+            test_reconnect;
         ] );
       ( "edges",
         [
